@@ -151,7 +151,12 @@ def _jsonable(value):
 
 
 class OutputWriter:
-    """CSV or JSON-lines writer with a metadata prologue."""
+    """CSV or JSON-lines writer with a metadata prologue.
+
+    A file path is written through a sibling temporary file that replaces
+    the path only when the block exits without an exception, so a failed
+    run leaves an existing file untouched.
+    """
 
     def __init__(self, path: str, fmt: str):
         if fmt not in ("csv", "jsonl"):
@@ -159,14 +164,20 @@ class OutputWriter:
         self.path = path
         self.fmt = fmt
         self._fh = None
+        self._tmp = f"{path}.tmp-{os.getpid()}"
 
     def __enter__(self):
-        self._fh = sys.stdout if self.path == "-" else open(self.path, "w", newline="\n")
+        self._fh = sys.stdout if self.path == "-" else open(self._tmp, "w", newline="\n")
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self._fh is not sys.stdout:
-            self._fh.close()
+        if self._fh is sys.stdout:
+            return
+        self._fh.close()
+        if exc_type is None:
+            os.replace(self._tmp, self.path)
+        else:
+            os.remove(self._tmp)
 
     def meta(self, meta: dict) -> None:
         if self.fmt == "csv":
@@ -349,29 +360,29 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
         raise ParameterError("--d-list is required (comma-separated dimensions)")
     gamma = res.get("gamma", float, 1.0)
     delta = res.get("delta", float, 1.0)
-    horizon = res.get("horizon", float, None)
-    cap = res.get("cap", int, None)
-    radius = res.get("radius", int, None)
-    proxy = None
-    if horizon is not None or cap is not None or radius is not None:
-        proxy = critical.ProxySettings(
-            horizon=horizon if horizon is not None else 100.0,
-            active_cap=cap if cap is not None else 5000,
-            box_radius=radius if radius is not None else 50,
-        )
+    eps = res.get("eps", float, critical.DEFAULT_EPS)
+    probe_replicas = res.get("probe_replicas", int, 2000)
+    bracket_replicas = res.get("bracket_replicas", int, 10000)
+    # the metadata keeps the proxy overrides as given (empty when unset) and
+    # adds each dimension's effective proxy, since defaults depend on d
+    for name, cast in (("horizon", float), ("cap", int), ("radius", int)):
+        res.get(name, cast, None)
+    meta = _base_meta("trend", res)
+    proxies = {d: _proxy(res, d) for d in d_list}
+    meta.update({f"proxy_d{d}": proxy.describe() for d, proxy in proxies.items()})
     rows = critical.trend_study(
         kind,
         d_list,
         gamma,
         delta,
-        eps=res.get("eps", float, critical.DEFAULT_EPS),
-        probe_replicas=res.get("probe_replicas", int, 2000),
-        bracket_replicas=res.get("bracket_replicas", int, 10000),
-        proxy=proxy,
+        eps=eps,
+        probe_replicas=probe_replicas,
+        bracket_replicas=bracket_replicas,
+        proxy=proxies,
         seed=seed,
         workers=workers,
     )
-    writer.meta(_base_meta("trend", res))
+    writer.meta(meta)
     writer.table(
         ("d", "lambda_hat", "scaled", "target"),
         [(r.d, r.lambda_hat, r.scaled, r.target) for r in rows],

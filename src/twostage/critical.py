@@ -18,6 +18,7 @@ or worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -291,14 +292,16 @@ def trend_study(
     eps: float = DEFAULT_EPS,
     probe_replicas: int = 2000,
     bracket_replicas: int = 10000,
-    proxy: Optional[ProxySettings] = None,
+    proxy: ProxySettings | Mapping[int, ProxySettings] | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> list[TrendRow]:
     """Scaled critical-rate sequence 2d*lambda_hat across dimensions.
 
     Emits the dimension-free target constant 1 + (1+delta)/gamma with the
-    data.  d_list must be ascending.
+    data.  d_list must be ascending.  ``proxy`` is one setting for every
+    dimension, a mapping from dimension to setting, or None for
+    ``ProxySettings.default_for(d)``.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
@@ -313,7 +316,7 @@ def trend_study(
             eps=eps,
             probe_replicas=probe_replicas,
             bracket_replicas=bracket_replicas,
-            proxy=proxy if proxy is not None else ProxySettings.default_for(d),
+            proxy=proxy.get(d) if isinstance(proxy, Mapping) else proxy,
             seed=mix_seed(seed, d),
             workers=workers,
         )

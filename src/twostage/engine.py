@@ -57,10 +57,6 @@ class SparseConfig:
     def state(self, x: Site) -> int:
         return self.states.get(x, HEALTHY)
 
-    def active_count(self) -> int:
-        """Number of sites in state 1 or 2."""
-        return sum(1 for s in self.states.values() if s in (SEMI, FULL))
-
 
 @dataclass
 class LinearConfig:

@@ -13,6 +13,12 @@ The event along a self-avoiding path that every transmission clock beats
 the source's recovery clock and every maturation clock beats the removal
 clock (``path_event``) forces the path's endpoint to be fully infected at
 some time; ``containment_holds`` checks that implication constructively.
+
+Neighbors within the region are found by probing the 2d sites at +-1 in
+each coordinate against the region set, so building a bundle and running
+the clock-driven trajectory cost O(|region| * d), up to the logarithm of
+the sorts and of the event heap.  A region's sites must share one
+dimension.
 """
 from __future__ import annotations
 
@@ -46,13 +52,14 @@ class ClockBundle:
     region: frozenset[Site]
 
 
+def _region_neighbors(x: Site, region: frozenset[Site]) -> list[Site]:
+    """Sites of region at l1 distance 1 from x, probed at +-1 per coordinate."""
+    probes = (x[:i] + (x[i] + s,) + x[i + 1 :] for i in range(len(x)) for s in (-1, 1))
+    return [y for y in probes if y in region]
+
+
 def _ordered_neighbor_pairs(region: frozenset[Site]) -> list[tuple[Site, Site]]:
-    pairs = []
-    for x in region:
-        for y in region:
-            if x != y and l1_norm(sub(x, y)) == 1:
-                pairs.append((x, y))
-    return pairs
+    return [(x, y) for x in region for y in _region_neighbors(x, region)]
 
 
 def sample_clocks(
@@ -62,6 +69,8 @@ def sample_clocks(
     if not region:
         raise DomainError("clock region must be non-empty")
     frozen = frozenset(region)
+    if len({len(x) for x in frozen}) != 1:
+        raise DomainError("clock region mixes sites of different dimensions")
     sites = sorted(frozen)
     n = len(sites)
     w = rng.standard_exponential(n)
@@ -163,21 +172,13 @@ def sir_from_clocks(clocks: ClockBundle, init: SparseConfig) -> ClockTrajectory:
         heapq.heappush(heap, (at, x, action, seq, payload))
         seq += 1
 
-    neighbors_in_region: dict[Site, list[Site]] = {}
-
-    def region_neighbors(x: Site) -> list[Site]:
-        got = neighbors_in_region.get(x)
-        if got is None:
-            got = sorted(y for y in region if l1_norm(sub(x, y)) == 1)
-            neighbors_in_region[x] = got
-        return got
-
     def become_full(x: Site, at: float) -> None:
+        # runs at most once per site, so neighbors are not memoized
         state[x] = FULL
         ever_full.add(x)
         events.append((at, x, FULL))
         push(at + w[x], x, _RECOVER)
-        for y in region_neighbors(x):
+        for y in sorted(_region_neighbors(x, region)):
             if u[(x, y)] < w[x]:
                 push(at + u[(x, y)], x, _ATTEMPT, y)
 

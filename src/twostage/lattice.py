@@ -43,10 +43,6 @@ def l1_norm(x: Site) -> int:
     return sum(abs(c) for c in x)
 
 
-def add(x: Site, y: Site) -> Site:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub(x: Site, y: Site) -> Site:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -198,9 +194,6 @@ class LatticeGeometry:
         result = tuple(out)
         self._nbr_cache[code] = result
         return result
-
-    def clear_cache(self) -> None:
-        self._nbr_cache.clear()
 
     def __repr__(self) -> str:
         return f"LatticeGeometry(d={self.d}, domain={self.domain!r})"

@@ -48,17 +48,22 @@ def test_validation_error_exit_code(tmp_path):
     )
 
 
+BRACKET_FAIL_ARGS = [
+    "bisect", "--d", "2", "--gamma", "1", "--delta", "1",
+    "--lambda-max", "0.8", "--bracket-replicas", "40", "--probe-replicas", "40",
+    "--cap", "80", "--horizon", "5", "--radius", "6", "--seed", "1",
+]
+
+
 def test_bracket_error_exit_code(tmp_path):
-    run_cli(
-        [
-            "bisect", "--d", "2", "--gamma", "1", "--delta", "1",
-            "--lambda-max", "0.8", "--bracket-replicas", "40", "--probe-replicas", "40",
-            "--cap", "80", "--horizon", "5", "--radius", "6", "--seed", "1",
-        ],
-        tmp_path,
-        "bracket.csv",
-        expect=3,
-    )
+    run_cli(BRACKET_FAIL_ARGS, tmp_path, "bracket.csv", expect=3)
+
+
+def test_failed_run_leaves_existing_out_intact(tmp_path):
+    before = b"# an earlier result\nd,lambda\n2,0.9\n"
+    (tmp_path / "kept.csv").write_bytes(before)
+    assert run_cli(BRACKET_FAIL_ARGS, tmp_path, "kept.csv", expect=3) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def test_sweep_columns_and_determinism(tmp_path):
@@ -105,6 +110,22 @@ def test_trend_emits_target_constant(tmp_path):
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "d,lambda_hat,scaled,target"
     assert lines[1].endswith(",3.0")
+
+
+def test_trend_records_effective_proxy_per_dimension(tmp_path):
+    # a horizon override keeps each dimension's default cap (2000 at d >= 10)
+    args = [
+        "trend", "--d-list", "4,10", "--horizon", "5", "--eps", "0.5",
+        "--probe-replicas", "20", "--bracket-replicas", "40", "--seed", "1",
+    ]
+    out = run_cli(args, tmp_path, "tp.csv").decode()
+    meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+    assert meta["proxy_d4"] == "horizon=5.0,cap=5000,box_radius=50"
+    assert meta["proxy_d10"] == "horizon=5.0,cap=2000,box_radius=50"
+    assert meta["cap"] == ""
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "d,lambda_hat,scaled,target"
+    assert [l.split(",")[0] for l in lines[1:]] == ["4", "10"]
 
 
 def test_ode_reports_threshold_eigenvalue(tmp_path):

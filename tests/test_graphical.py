@@ -7,12 +7,13 @@ from twostage.errors import DomainError, ParameterError
 from twostage.graphical import (
     ClockBundle,
     LazyClocks,
+    _ordered_neighbor_pairs,
     containment_holds,
     path_event,
     sample_clocks,
     sir_from_clocks,
 )
-from twostage.lattice import Box, LatticeGeometry
+from twostage.lattice import Box, LatticeGeometry, l1_norm, sub
 from twostage.params import ProcessParams
 from twostage.rng import substream
 from twostage.saw import sample_walk
@@ -39,6 +40,42 @@ def test_sample_clocks_counts():
 def test_sample_clocks_empty_region_rejected():
     with pytest.raises(DomainError):
         sample_clocks(set(), P, substream(2))
+
+
+def test_sample_clocks_mixed_dimensions_rejected():
+    with pytest.raises(DomainError):
+        sample_clocks({(0,), (1, 0), (5,)}, P, substream(2))
+
+
+def _brute_pairs(region):
+    return [(x, y) for x in region for y in region if x != y and l1_norm(sub(x, y)) == 1]
+
+
+def _irregular_region(d, rng):
+    # random subset of a small box: holes and non-convex shapes
+    g = LatticeGeometry(d, Box({1: 20, 2: 5, 3: 2, 4: 1}[d]))
+    keep = rng.random(g.n_sites) < 0.6
+    return frozenset(x for x, k in zip(g.sites(), keep) if k) | {(0,) * d}
+
+
+def test_probe_neighbors_match_brute_force_scan():
+    rng = substream(11)
+    for d in (1, 2, 3, 4):
+        for _ in range(5):
+            region = _irregular_region(d, rng)
+            assert sorted(_ordered_neighbor_pairs(region)) == sorted(_brute_pairs(region))
+
+
+def test_sample_clocks_consumes_draws_in_brute_force_pair_order():
+    region = _irregular_region(3, substream(12))
+    clocks = sample_clocks(region, P, substream(13))
+    rng = substream(13)
+    n = len(region)
+    for _ in range(3):  # recovery, removal, maturation
+        rng.standard_exponential(n)
+    pairs = sorted(_brute_pairs(region))
+    u = rng.standard_exponential(len(pairs)) / P.lam
+    assert list(clocks.transmission.items()) == list(zip(pairs, u.tolist()))
 
 
 def test_clock_means():
