@@ -153,9 +153,11 @@ def _jsonable(value):
 class OutputWriter:
     """CSV or JSON-lines writer with a metadata prologue.
 
-    A file path is written through a sibling temporary file that replaces
-    the path only when the block exits without an exception, so a failed
-    run leaves an existing file untouched.
+    A new or regular file (through symlinks, its target) is written to a
+    sibling temporary file that replaces it only when the block exits
+    without an exception, so a run that raises leaves an existing file
+    untouched.  Devices, FIFOs and files in directories that cannot take
+    the sibling are written in place.
     """
 
     def __init__(self, path: str, fmt: str):
@@ -164,18 +166,31 @@ class OutputWriter:
         self.path = path
         self.fmt = fmt
         self._fh = None
-        self._tmp = f"{path}.tmp-{os.getpid()}"
+        self._target = None
+        self._tmp = None
 
     def __enter__(self):
-        self._fh = sys.stdout if self.path == "-" else open(self._tmp, "w", newline="\n")
+        if self.path == "-":
+            self._fh = sys.stdout
+            return self
+        target = os.path.realpath(self.path)
+        regular = os.path.isfile(target) or not os.path.exists(target)
+        if regular and os.access(os.path.dirname(target), os.W_OK):
+            self._target, self._tmp = target, f"{target}.tmp-{os.getpid()}"
+        try:
+            self._fh = open(self._tmp or target, "w", newline="\n")
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {self.path}: {exc.strerror}") from None
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if self._fh is sys.stdout:
             return
         self._fh.close()
+        if self._tmp is None:
+            return
         if exc_type is None:
-            os.replace(self._tmp, self.path)
+            os.replace(self._tmp, self._target)
         else:
             os.remove(self._tmp)
 
@@ -360,28 +375,25 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
         raise ParameterError("--d-list is required (comma-separated dimensions)")
     gamma = res.get("gamma", float, 1.0)
     delta = res.get("delta", float, 1.0)
-    eps = res.get("eps", float, critical.DEFAULT_EPS)
-    probe_replicas = res.get("probe_replicas", int, 2000)
-    bracket_replicas = res.get("bracket_replicas", int, 10000)
-    # the metadata keeps the proxy overrides as given (empty when unset) and
-    # adds each dimension's effective proxy, since defaults depend on d
-    for name, cast in (("horizon", float), ("cap", int), ("radius", int)):
-        res.get(name, cast, None)
-    meta = _base_meta("trend", res)
     proxies = {d: _proxy(res, d) for d in d_list}
-    meta.update({f"proxy_d{d}": proxy.describe() for d, proxy in proxies.items()})
     rows = critical.trend_study(
         kind,
         d_list,
         gamma,
         delta,
-        eps=eps,
-        probe_replicas=probe_replicas,
-        bracket_replicas=bracket_replicas,
+        eps=res.get("eps", float, critical.DEFAULT_EPS),
+        probe_replicas=res.get("probe_replicas", int, 2000),
+        bracket_replicas=res.get("bracket_replicas", int, 10000),
         proxy=proxies,
         seed=seed,
         workers=workers,
     )
+    # proxy defaults depend on d: record each dimension's effective settings
+    # in place of the horizon/cap/radius resolved for the last one
+    meta = _base_meta("trend", res)
+    for key in ("horizon", "cap", "radius"):
+        del meta[key]
+    meta.update({f"proxy_d{d}": proxy.describe() for d, proxy in proxies.items()})
     writer.meta(meta)
     writer.table(
         ("d", "lambda_hat", "scaled", "target"),

@@ -18,7 +18,6 @@ or worker count.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -292,16 +291,15 @@ def trend_study(
     eps: float = DEFAULT_EPS,
     probe_replicas: int = 2000,
     bracket_replicas: int = 10000,
-    proxy: ProxySettings | Mapping[int, ProxySettings] | None = None,
+    proxy: Optional[dict[int, ProxySettings]] = None,
     seed: int = 0,
     workers: int = 1,
 ) -> list[TrendRow]:
     """Scaled critical-rate sequence 2d*lambda_hat across dimensions.
 
     Emits the dimension-free target constant 1 + (1+delta)/gamma with the
-    data.  d_list must be ascending.  ``proxy`` is one setting for every
-    dimension, a mapping from dimension to setting, or None for
-    ``ProxySettings.default_for(d)``.
+    data.  d_list must be ascending.  ``proxy`` maps each dimension to its
+    setting; None uses ``ProxySettings.default_for(d)`` throughout.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
@@ -316,7 +314,7 @@ def trend_study(
             eps=eps,
             probe_replicas=probe_replicas,
             bracket_replicas=bracket_replicas,
-            proxy=proxy.get(d) if isinstance(proxy, Mapping) else proxy,
+            proxy=proxy[d] if proxy is not None else ProxySettings.default_for(d),
             seed=mix_seed(seed, d),
             workers=workers,
         )

@@ -381,7 +381,7 @@ def test_c11_scaled_threshold_trend():
         1.0,
         probe_replicas=2000,
         bracket_replicas=10000,
-        proxy=proxy,
+        proxy={d: proxy for d in (4, 6, 8)},
         seed=424242,
         workers=WORKERS,
     )

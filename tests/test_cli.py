@@ -66,6 +66,24 @@ def test_failed_run_leaves_existing_out_intact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
+def test_symlinked_out_updates_its_target(tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "real.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    out = run_cli(SIM_ARGS, tmp_path, "link.csv")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == out and out.startswith(b"# ")
+    run_cli(BRACKET_FAIL_ARGS, tmp_path, "link.csv", expect=3)
+    assert link.is_symlink() and target.read_bytes() == out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "real.csv"]
+
+
+def test_unwritable_out_is_a_validation_error(tmp_path):
+    run_cli(SIM_ARGS, tmp_path, "missing/out.csv", expect=2)
+
+
 def test_sweep_columns_and_determinism(tmp_path):
     args = [
         "sweep", "--kind", "contact", "--d", "2", "--lambdas", "0.4,0.9",
@@ -122,7 +140,7 @@ def test_trend_records_effective_proxy_per_dimension(tmp_path):
     meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
     assert meta["proxy_d4"] == "horizon=5.0,cap=5000,box_radius=50"
     assert meta["proxy_d10"] == "horizon=5.0,cap=2000,box_radius=50"
-    assert meta["cap"] == ""
+    assert not {"horizon", "cap", "radius"} & meta.keys()
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "d,lambda_hat,scaled,target"
     assert [l.split(",")[0] for l in lines[1:]] == ["4", "10"]

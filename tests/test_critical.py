@@ -115,7 +115,7 @@ def test_trend_requires_ascending_dimensions():
 def test_trend_small_run_emits_target():
     rows = trend_study(
         "contact", [2, 3], 1.0, 1.0,
-        probe_replicas=200, bracket_replicas=400, proxy=FAST_PROXY, seed=8,
+        probe_replicas=200, bracket_replicas=400, proxy={2: FAST_PROXY, 3: FAST_PROXY}, seed=8,
     )
     assert [r.d for r in rows] == [2, 3]
     for r in rows:
