@@ -235,7 +235,10 @@ def bisect_critical(
     if p_lo >= eps:
         raise BracketError(
             f"survival {p_lo:.4f} >= eps {eps} already at the lower bound {lb:.6f}; "
-            "no bracket below it exists"
+            "no bracket below it exists.  The alive-at-horizon proxy "
+            f"({proxy.describe()}) counts replicas still active at the horizon "
+            "or at the cap as survivors, so a short horizon raises survival at "
+            "every rate; use a longer --horizon"
         )
     hi = 2.0 * lb
     while True:

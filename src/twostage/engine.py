@@ -17,6 +17,15 @@ the domain or hits a non-susceptible site.  Rejected proposals are null
 transitions, so the scheme is exact in law while keeping every event at
 O(1) amortized cost.  Sites are handled as integer codes internally
 (see lattice.LatticeGeometry); the public API speaks tuples.
+
+Draw contract: each event reads one uniform and one exponential from
+rng.EventDraws, so a replica's draws are a fixed function of the stream
+it is handed (the same draws as lockstep fills of 8192 uniforms then
+8192 exponentials).  Where the generator is left afterwards is not part
+of the contract: a replica that stays inside the peeked first fill
+leaves it just past the exponentials it read, not past the full fill.
+A generator reused for a second call still reads no output twice, so
+the calls stay independent.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import LatticeGeometry, Site
 from .params import ProcessParams
+from .rng import EventDraws
 
 HEALTHY = 0
 SEMI = 1
@@ -38,7 +48,6 @@ RECOVERED = -1
 CONTACT_STATES = (HEALTHY, SEMI, FULL)
 SIR_STATES = (RECOVERED, HEALTHY, SEMI, FULL)
 
-_DRAW_BUF = 8192
 _ZERO_PAIR = (0, 0)
 
 
@@ -240,7 +249,7 @@ def simulate(
     tpos = {c: i for i, c in enumerate(twos)}
     ever2: Optional[set[int]] = set(twos) if track_ever_fully_infected else None
 
-    nbr_cache = g._nbr_cache
+    nbr_cache = g.neighbor_cache
     nbr_build = g.neighbor_codes
 
     t = init.time
@@ -254,17 +263,20 @@ def simulate(
     elif active_cap is not None and peak >= active_cap:
         survived = True
     else:
-        u_buf = rng.random(_DRAW_BUF)
-        e_buf = rng.standard_exponential(_DRAW_BUF)
+        draws = EventDraws(rng)
+        u_buf = draws.u
+        e_buf = draws.e
+        n_buf = len(u_buf)
         cur = 0
         while True:
             n1 = len(ones)
             n2 = len(twos)
             rate = n2 * (1.0 + lam2d) + n1 * semi_tot
-            if cur >= _DRAW_BUF:
-                u_buf = rng.random(_DRAW_BUF)
-                e_buf = rng.standard_exponential(_DRAW_BUF)
-                cur = 0
+            if cur >= n_buf:
+                cur = draws.refill()
+                u_buf = draws.u
+                e_buf = draws.e
+                n_buf = len(u_buf)
             t_next = t + e_buf[cur] / rate
             if t_next >= horizon:
                 t = horizon
@@ -393,7 +405,7 @@ def simulate_linear(
             continue
         vals[g.encode(x)] = (int(z), int(th))
 
-    nbr_cache = g._nbr_cache
+    nbr_cache = g.neighbor_cache
     nbr_build = g.neighbor_codes
 
     def nbrs(c: int) -> tuple[int, ...]:
@@ -441,8 +453,10 @@ def simulate_linear(
             LinearConfig(values={g.decode(c): v for c, v in vals.items()}, time=at)
         )
 
-    u_buf = rng.random(_DRAW_BUF)
-    e_buf = rng.standard_exponential(_DRAW_BUF)
+    draws = EventDraws(rng)
+    u_buf = draws.u
+    e_buf = draws.e
+    n_buf = len(u_buf)
     cur = 0
     while next_i < len(times):
         n = len(active)
@@ -452,10 +466,11 @@ def simulate_linear(
                 snapshot(times[next_i])
                 next_i += 1
             break
-        if cur >= _DRAW_BUF:
-            u_buf = rng.random(_DRAW_BUF)
-            e_buf = rng.standard_exponential(_DRAW_BUF)
-            cur = 0
+        if cur >= n_buf:
+            cur = draws.refill()
+            u_buf = draws.u
+            e_buf = draws.e
+            n_buf = len(u_buf)
         t_next = t + e_buf[cur] / (n * bundle)
         while next_i < len(times) and times[next_i] <= t_next:
             snapshot(times[next_i])

@@ -13,7 +13,8 @@ Sites are plain tuples of d integers.  Two finite domains are supported:
 
 Besides the tuple-based API the geometry exposes an integer site encoding
 (``encode``/``decode``/``neighbor_codes``) used by the event loops; the
-neighbor-code table is memoized per geometry instance.
+neighbor-code table is memoized per geometry instance in
+``neighbor_cache``.
 """
 from __future__ import annotations
 
@@ -69,7 +70,14 @@ Domain = Union[Box, Torus]
 
 
 class LatticeGeometry:
-    """A finite truncation of Z^d with neighbor enumeration."""
+    """A finite truncation of Z^d with neighbor enumeration.
+
+    Attributes:
+        neighbor_cache: code -> ``neighbor_codes(code)`` for every code
+            looked up so far.  Event loops read it directly and call
+            ``neighbor_codes`` only on a miss, saving a method call per
+            infection proposal.  Only ``neighbor_codes`` writes to it.
+    """
 
     def __init__(self, d: int, domain: Domain):
         if d < 1:
@@ -90,7 +98,7 @@ class LatticeGeometry:
         self.domain = domain
         self.is_torus = isinstance(domain, Torus)
         self._strides = [self._side**i for i in range(d)]
-        self._nbr_cache: dict[int, tuple[int, ...]] = {}
+        self.neighbor_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # tuple-based interface
@@ -173,7 +181,7 @@ class LatticeGeometry:
         Direction order is (axis 0 -, axis 0 +, axis 1 -, ...), matching
         ``neighbors`` up to boundary clipping.
         """
-        cached = self._nbr_cache.get(code)
+        cached = self.neighbor_cache.get(code)
         if cached is not None:
             return cached
         side = self._side
@@ -192,7 +200,7 @@ class LatticeGeometry:
                 out.append(code - stride if digit > 0 else -1)
                 out.append(code + stride if digit < side - 1 else -1)
         result = tuple(out)
-        self._nbr_cache[code] = result
+        self.neighbor_cache[code] = result
         return result
 
     def __repr__(self) -> str:

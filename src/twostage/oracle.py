@@ -23,8 +23,7 @@ from .lattice import LatticeGeometry, Site
 from .params import ProcessParams
 from . import saw
 
-_MAX_STATES = 1_000_000
-_MAX_DENSE = 12_000  # dense generator memory guard (~1 GB of float64)
+_MAX_DENSE = 12_000  # configurations; the dense generator is ~1 GB of float64
 _POISSON_TAIL = 1e-10
 
 
@@ -63,7 +62,7 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
 
     Every entry comes from the single-site rate tables; all multi-site
     jumps have rate zero.  Raises ResourceError when the state space
-    exceeds 10^6 configurations.
+    exceeds 12 000 configurations, the dense generator's memory guard.
     """
     if kind == "contact":
         values: tuple[int, ...] = CONTACT_STATES
@@ -76,15 +75,10 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
     sites = list(g.sites())
     n_sites = len(sites)
     n_states = len(values) ** n_sites
-    if n_states > _MAX_STATES:
-        raise ResourceError(
-            f"state space has {n_states} configurations (> {_MAX_STATES}); "
-            "use a smaller geometry"
-        )
     if n_states > _MAX_DENSE:
         raise ResourceError(
-            f"dense generator for {n_states} configurations would exceed the "
-            f"memory guard ({_MAX_DENSE}); use a smaller geometry"
+            f"state space has {n_states} configurations, over the limit of "
+            f"{_MAX_DENSE} for a dense generator; use a smaller geometry"
         )
     states: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}

@@ -6,18 +6,22 @@ import sys
 import pytest
 
 
-def run_cli(args, tmp_path, out_name, env=None, expect=0):
-    out = tmp_path / out_name
+def cli_process(args, out, env=None):
     full_env = dict(os.environ)
     full_env.setdefault("TWOSTAGE_THREADS", "1")
     if env:
         full_env.update(env)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "twostage", *args, "--out", str(out)],
         capture_output=True,
         text=True,
         env=full_env,
     )
+
+
+def run_cli(args, tmp_path, out_name, env=None, expect=0):
+    out = tmp_path / out_name
+    proc = cli_process(args, out, env)
     assert proc.returncode == expect, f"exit {proc.returncode}: {proc.stderr}"
     return out.read_bytes() if out.exists() else b""
 
@@ -57,6 +61,22 @@ BRACKET_FAIL_ARGS = [
 
 def test_bracket_error_exit_code(tmp_path):
     run_cli(BRACKET_FAIL_ARGS, tmp_path, "bracket.csv", expect=3)
+
+
+def test_short_horizon_bracket_error_names_the_proxy(tmp_path):
+    # survival is 0.15 at the lower bound because replicas alive at t=5 count
+    args = [
+        "trend", "--d-list", "4", "--horizon", "5",
+        "--probe-replicas", "20", "--bracket-replicas", "40", "--seed", "1",
+    ]
+    proc = cli_process(args, tmp_path / "short.csv")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "already at the lower bound" in proc.stderr
+    assert "alive-at-horizon proxy (horizon=5.0,cap=5000,box_radius=50)" in proc.stderr
+    assert "still active at the horizon" in proc.stderr
+    assert "longer --horizon" in proc.stderr
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_failed_run_leaves_existing_out_intact(tmp_path):

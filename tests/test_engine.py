@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from twostage.engine import (
@@ -20,7 +22,7 @@ from twostage.engine import (
 from twostage.errors import DomainError, ParameterError
 from twostage.lattice import Box, LatticeGeometry, Torus, origin
 from twostage.params import ProcessParams
-from twostage.rng import substream
+from twostage.rng import EventDraws, substream
 
 
 @pytest.fixture
@@ -220,3 +222,153 @@ def test_all_full_config_covers_domain():
     cfg = all_full_config(g)
     assert len(cfg.states) == 9
     assert all(s == FULL for s in cfg.states.values())
+
+
+# ----------------------------------------------------------------------
+# draw contract: a replica's draws are a fixed function of its stream
+# ----------------------------------------------------------------------
+# Fingerprints recorded when every replica took two full 8192-draw fills
+# (uniforms, then exponentials) before its first event.  The comment on
+# each row is the number of (uniform, exponential) pairs the replica
+# reads: up to 64 stays inside the peeked first fill, more replays it,
+# more than 8192 crosses a second refill.
+SPREAD_SETUPS = {
+    # name: (d, domain, (lam, gamma, delta), horizon)
+    "ring": (1, Torus(3), (0.8, 1.0, 1.0), 2.0),
+    "box2": (2, Box(8), (0.9, 1.0, 1.0), 8.0),
+    "box2-sir": (2, Box(8), (2.0, 2.0, 0.5), 50.0),
+    "box2-long": (2, Box(12), (2.0, 2.0, 0.5), 20.0),
+    "box3-sir": (3, Box(7), (1.0, 5.0, 0.1), 100.0),
+}
+GOLDEN_SPREAD = [
+    # kind, setup, seed, replica, event_count, extinction_time, final digest
+    ("contact", "ring", 41, 0, 5, None, "957d8ce7bae2b149"),  # 9 pairs
+    ("contact", "ring", 41, 1, 6, 1.0876909256879248, "4f53cda18c2baa0c"),  # 6
+    ("contact", "ring", 41, 2, 7, None, "d15322468c7bf07f"),  # 7
+    ("contact", "ring", 41, 3, 4, None, "d15322468c7bf07f"),  # 5
+    ("sir", "ring", 42, 0, 3, 1.7696191479573473, "2118b09479269d85"),  # 5
+    ("sir", "ring", 42, 1, 5, None, "78b445a25ad57e1e"),  # 11
+    ("sir", "ring", 42, 2, 1, 0.1556434299455173, "227ac23236268e01"),  # 1
+    ("sir", "ring", 42, 3, 1, 1.8919109136866727, "227ac23236268e01"),  # 1
+    ("contact", "box2", 43, 1, 56, 6.538259662777585, "4f53cda18c2baa0c"),  # 65
+    ("sir", "box2-sir", 44, 0, 37, 5.226100923748302, "beef02667d76440a"),  # 124
+    ("sir", "box2-sir", 44, 2, 37, 2.6039391626665265, "ef2d3845ba4be2b4"),  # 67
+    ("contact", "box2-long", 45, 0, 9523, None, "b2235e38e36638c4"),  # 20796
+    ("contact", "box2-long", 45, 3, 7732, None, "785247bd8caceed5"),  # 16550
+    ("sir", "box3-sir", 51, 0, 8258, 30.539326553525573, "2b64096c1a2e68c0"),  # 19448
+]
+LINEAR_SETUPS = {
+    # name: (d, domain, initial pair at the origin, sample times)
+    "ring": (1, Torus(3), (5, 0), [0.4]),
+    "box2": (2, Box(4), (1, 0), [0.5, 2.0]),
+}
+GOLDEN_LINEAR = [
+    # setup, seed, replica, digest of each snapshot
+    ("ring", 46, 0, ["3cd3374b57072acc"]),  # 5 pairs
+    ("ring", 46, 2, ["23edb2e5504978bc"]),  # 9
+    ("box2", 47, 0, ["93eaa84ced492681", "6080f54125e887df"]),  # 165
+    ("box2", 47, 2, ["ea3be95ce4b605a1", "4f53cda18c2baa0c"]),  # 74
+]
+
+
+def _digest(mapping):
+    return hashlib.sha256(repr(sorted(mapping.items())).encode()).hexdigest()[:16]
+
+
+def _spread(kind, setup, rng):
+    d, domain, rates, horizon = SPREAD_SETUPS[setup]
+    init = _config({origin(d): FULL})
+    return simulate(kind, init, ProcessParams(*rates), LatticeGeometry(d, domain), horizon, rng)
+
+
+def _linear(setup, rng):
+    d, domain, pair, times = LINEAR_SETUPS[setup]
+    init = LinearConfig.from_sites({origin(d): pair})
+    return simulate_linear(init, ProcessParams(2.0, 1.0, 1.0), LatticeGeometry(d, domain), times, rng)
+
+
+def _lockstep_state(seed, replica, fills):
+    """Generator state after `fills` full fills of uniforms then exponentials."""
+    rng = substream(seed, replica)
+    for _ in range(fills):
+        rng.random(8192)
+        rng.standard_exponential(8192)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind,setup,seed,replica,events,extinction,final", GOLDEN_SPREAD)
+def test_spread_draws_are_fixed_by_the_stream(kind, setup, seed, replica, events, extinction, final):
+    out = _spread(kind, setup, substream(seed, replica))
+    assert out.event_count == events
+    assert out.extinction_time == extinction
+    assert _digest(out.final.states) == final
+
+
+@pytest.mark.parametrize("setup,seed,replica,finals", GOLDEN_LINEAR)
+def test_linear_draws_are_fixed_by_the_stream(setup, seed, replica, finals):
+    snaps = _linear(setup, substream(seed, replica))
+    assert [_digest(s.values) for s in snaps] == finals
+
+
+def test_peek_is_the_prefix_of_the_full_fill_and_replays_it():
+    for i in range(50):
+        full = substream(53, i)
+        u = full.random(8192)
+        e = full.standard_exponential(8192)
+        rng = substream(53, i)
+        draws = EventDraws(rng)
+        peeked = len(draws.u)
+        assert peeked < 8192
+        assert (draws.u == u[:peeked]).all() and (draws.e == e[:peeked]).all()
+        assert draws.refill() == peeked
+        assert (draws.u == u).all() and (draws.e == e).all()
+        assert rng.bit_generator.state == full.bit_generator.state
+        assert draws.refill() == 0  # later refills are plain lockstep fills
+
+
+def test_state_after_a_peeked_replica_is_past_every_output_it_read():
+    # the replica read uniforms from outputs 0..63 and exponentials from
+    # output 8192 on, so a second call on this generator reuses none of them
+    for run in (lambda rng: _spread("contact", "ring", rng), lambda rng: _linear("ring", rng)):
+        rng = substream(41, 0)
+        run(rng)
+        expected = substream(41, 0)
+        expected.bit_generator.advance(8192)
+        expected.standard_exponential(64)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kind,setup,seed,replica,fills",
+    [
+        ("contact", "box2", 43, 1, 1),
+        ("sir", "box2-sir", 44, 0, 1),
+        ("contact", "box2-long", 45, 0, 3),
+        ("linear", "box2", 47, 0, 1),
+    ],
+)
+def test_state_after_outgrowing_the_peek_is_lockstep(kind, setup, seed, replica, fills):
+    rng = substream(seed, replica)
+    if kind == "linear":
+        _linear(setup, rng)
+    else:
+        _spread(kind, setup, rng)
+    assert rng.bit_generator.state == _lockstep_state(seed, replica, fills)
+
+
+@pytest.mark.parametrize(
+    "bit_generator,seed,events,extinction",
+    [(np.random.MT19937, 7, 1, 0.14478959082733972), (np.random.Philox, 8, 3, 1.0460565981573622)],
+)
+def test_generators_without_an_output_counted_jump_take_the_full_fill(
+    bit_generator, seed, events, extinction
+):
+    # MT19937 has no advance and Philox advances in four-output blocks:
+    # both read the whole first fill up front, as every generator once did
+    rng = np.random.Generator(bit_generator(seed))
+    out = _spread("contact", "ring", rng)
+    assert (out.event_count, out.extinction_time) == (events, extinction)
+    ref = np.random.Generator(bit_generator(seed))
+    ref.random(8192)
+    ref.standard_exponential(8192)
+    assert (rng.random(4) == ref.random(4)).all()

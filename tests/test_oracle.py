@@ -49,6 +49,12 @@ def test_state_space_size_guard():
         build_exact("contact", g, P)
 
 
+def test_state_space_guard_names_its_limit():
+    g = LatticeGeometry(1, Torus(9))  # 3^9 = 19683 configurations
+    with pytest.raises(ResourceError, match="over the limit of 12000"):
+        build_exact("contact", g, P)
+
+
 def test_transient_point_mass_at_zero():
     g = LatticeGeometry(1, Box(0))
     chain = build_exact("contact", g, P)
