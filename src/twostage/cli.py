@@ -8,9 +8,12 @@ and seed produce byte-identical output regardless of worker count; wall
 clock goes to stderr only, to keep the files deterministic.
 
 Option precedence is flags > config file > built-in defaults.  The
-config file is flat ``key = value`` text; keys match the long option
-names.  Environment variables TWOSTAGE_SEED and TWOSTAGE_THREADS supply
-the default seed and worker count.
+config file is flat ``key = value`` text; keys are the long option
+names of the subcommand (``lambda``, ``d-list``, ``format``, ...), and
+any other key is a validation error.  Environment variables
+TWOSTAGE_SEED and TWOSTAGE_THREADS supply the default seed and worker
+count; a value that is not an integer (or, for the worker count, is
+below 1) is a validation error.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation error, 3
 bracket or resource exhaustion.
@@ -24,7 +27,7 @@ import numbers
 import os
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .engine import FULL, SparseConfig, simulate
@@ -45,72 +48,13 @@ from .meanfield import (
     solve_moments,
 )
 from .params import ProcessParams
-from .parallel import chunked_map, default_workers, index_chunks
 from .rng import substream
 from . import critical, oracle, saw
 
 
 # ----------------------------------------------------------------------
-# config file + option resolution
+# option table, config file + option resolution
 # ----------------------------------------------------------------------
-def load_config(path: Optional[str]) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment."""
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise ParameterError(f"config file not found: {path}")
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _cast_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
-
-
-class Resolver:
-    """Flags > config file > defaults, with explicit casts."""
-
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, str]):
-        self.args = args
-        self.cfg = cfg
-        self.resolved: dict[str, object] = {}
-
-    def get(self, name: str, cast: Callable, default):
-        value = getattr(self.args, name, None)
-        if value is None:
-            if name in self.cfg:
-                text = self.cfg[name]
-                value = _cast_bool(text) if cast is bool else cast(text)
-            else:
-                value = default
-        self.resolved[name] = value
-        return value
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("TWOSTAGE_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"TWOSTAGE_SEED must be an integer, got {raw!r}") from None
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -123,6 +67,122 @@ def _parse_ints(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
+
+
+class Option(NamedTuple):
+    """One command-line option; its dest is its key in OPTIONS."""
+
+    flag: str
+    type: Callable
+    help: str
+    choices: Optional[tuple[str, ...]] = None
+
+
+OPTIONS = {
+    "kind": Option("--kind", str, "spread process", ("contact", "sir")),
+    "d": Option("--d", int, "lattice dimension"),
+    "d_list": Option("--d-list", _parse_ints, "comma-separated dimensions"),
+    "lam": Option("--lambda", float, "infection rate"),
+    "lambdas": Option("--lambdas", _parse_floats, "comma-separated rates"),
+    "gamma": Option("--gamma", float, "maturation rate"),
+    "delta": Option("--delta", float, "excess semi-infected recovery rate"),
+    "theta": Option("--theta", float, "rate factor above threshold scale"),
+    "replicas": Option("--replicas", int, "replica count"),
+    "horizon": Option("--horizon", float, "time horizon of each replica"),
+    "cap": Option("--cap", int, "active-set survival cap"),
+    "geometry": Option("--geometry", str, "domain shape", ("box", "torus")),
+    "radius": Option("--radius", int, "box radius"),
+    "side": Option("--side", int, "torus side"),
+    "eps": Option("--eps", float, "survival level defining the crossing"),
+    "tol": Option("--tol", float, "rate resolution"),
+    "probe_replicas": Option("--probe-replicas", int, "replicas per bisection probe"),
+    "bracket_replicas": Option("--bracket-replicas", int, "replicas per bracket probe"),
+    "lambda_max": Option("--lambda-max", float, "largest rate the bracket may probe"),
+    "times": Option("--times", _parse_floats, "comma-separated sample times"),
+    "n_max": Option("--n-max", int, "largest walk length"),
+    "suite": Option("--suite", str, "check suite (only 'all')"),
+    "seed": Option("--seed", int, "master seed (env TWOSTAGE_SEED)"),
+    "threads": Option("--threads", int, "worker count (env TWOSTAGE_THREADS)"),
+    "config": Option("--config", str, "flat key = value config file"),
+    "out": Option("--out", str, "output path ('-' for stdout)"),
+    "fmt": Option("--format", str, "output format", ("csv", "jsonl")),
+}
+
+
+def load_config(path: Optional[str], command: str) -> dict[str, str]:
+    """Flat key = value file; '#' starts a comment.
+
+    Keys are the long option names of ``command`` ('_' may stand for
+    '-'); the result maps each option's dest to its text.
+    """
+    if not path:
+        return {}
+    if not os.path.exists(path):
+        raise ParameterError(f"config file not found: {path}")
+    dests = {OPTIONS[name].flag[2:]: name for name in _command_options(command)}
+    out: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParameterError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            dest = dests.get(key.replace("_", "-"))
+            if dest is None:
+                raise ParameterError(f"{path}:{lineno}: {key!r} is not an option of {command}")
+            out[dest] = value
+    return out
+
+
+class Resolver:
+    """Flags > config file > defaults; config text is cast by OPTIONS."""
+
+    def __init__(self, args: argparse.Namespace, cfg: dict[str, str]):
+        self.args = args
+        self.cfg = cfg
+        self.resolved: dict[str, object] = {}
+
+    def get(self, name: str, default=None):
+        value = getattr(self.args, name, None)
+        if value is None:
+            value = _cast(name, self.cfg[name]) if name in self.cfg else default
+        self.resolved[name] = value
+        return value
+
+    def required(self, name: str):
+        value = self.get(name)
+        if value is None or value == []:
+            opt = OPTIONS[name]
+            raise ParameterError(f"{opt.flag} is required ({opt.help})")
+        return value
+
+
+def _cast(name: str, text: str):
+    opt = OPTIONS[name]
+    try:
+        value = opt.type(text)
+    except ValueError as exc:
+        raise ParameterError(f"config key {opt.flag[2:]}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise ParameterError(
+            f"config key {opt.flag[2:]} must be one of {', '.join(opt.choices)}, got {text!r}"
+        )
+    return value
+
+
+def _env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ParameterError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -217,100 +277,62 @@ class OutputWriter:
 
 def _base_meta(command: str, resolver: Resolver) -> dict:
     meta = {"tool": "twostage", "version": __version__, "command": command}
-    # the output and config paths are not part of the computation: leaving
-    # them out keeps files byte-identical wherever they are written
-    skip = {"out", "config"}
+    # the output and config paths and the worker count are not part of the
+    # computation: leaving them out keeps files byte-identical wherever and
+    # however they are written
+    skip = {"out", "config", "threads"}
     meta.update({k: resolver.resolved[k] for k in sorted(resolver.resolved) if k not in skip})
     return meta
 
 
 # ----------------------------------------------------------------------
-# geometry / parameter assembly shared by subcommands
+# parameter assembly shared by subcommands
 # ----------------------------------------------------------------------
-def _geometry(res: Resolver, default_radius: int = 50) -> LatticeGeometry:
-    d = res.get("d", int, None)
-    if d is None:
-        raise ParameterError("--d is required")
-    shape = res.get("geometry", str, "box")
-    if shape == "box":
-        return LatticeGeometry(d, Box(res.get("radius", int, default_radius)))
-    if shape == "torus":
-        return LatticeGeometry(d, Torus(res.get("side", int, 5)))
-    raise ParameterError(f"geometry must be box or torus, got {shape!r}")
-
-
-def _params(res: Resolver, lam: Optional[float] = None) -> ProcessParams:
-    if lam is None:
-        lam = res.get("lam", float, None)
-    if lam is None:
-        raise ParameterError("--lambda is required")
+def _params(res: Resolver) -> ProcessParams:
     return ProcessParams(
-        lam=lam, gamma=res.get("gamma", float, 1.0), delta=res.get("delta", float, 1.0)
+        lam=res.required("lam"), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
     )
 
 
 def _proxy(res: Resolver, d: int) -> critical.ProxySettings:
     base = critical.ProxySettings.default_for(d)
     return critical.ProxySettings(
-        horizon=res.get("horizon", float, base.horizon),
-        active_cap=res.get("cap", int, base.active_cap),
-        box_radius=res.get("radius", int, base.box_radius),
+        horizon=res.get("horizon", base.horizon),
+        active_cap=res.get("cap", base.active_cap),
+        box_radius=res.get("radius", base.box_radius),
     )
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def _simulate_chunk(args) -> list[tuple]:
-    (kind, d, lam, gamma, delta, shape, extent, horizon, cap, seed, lo, hi) = args
-    p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-    g = LatticeGeometry(d, Box(extent) if shape == "box" else Torus(extent))
-    init = SparseConfig(states={origin(d): FULL})
-    rows = []
-    for i in range(lo, hi):
-        out = simulate(kind, init, p, g, horizon, substream(seed, i), active_cap=cap)
-        rows.append(
-            (i, out.survived, out.extinction_time, out.peak_active, out.event_count)
-        )
-    return rows
-
-
 def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    kind = res.get("kind", str, "contact")
-    if kind not in ("contact", "sir"):
-        raise ParameterError(f"kind must be contact or sir, got {kind!r}")
+    kind = res.get("kind", "contact")
     p = _params(res)
-    g = _geometry(res)
-    horizon = res.get("horizon", float, 100.0)
-    cap = res.get("cap", int, 5000)
-    replicas = res.get("replicas", int, 1000)
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    extent = g.domain.radius if isinstance(g.domain, Box) else g.domain.side
-    shape = "box" if isinstance(g.domain, Box) else "torus"
-    chunk = max(64, replicas // (4 * max(1, workers)))
-    chunks = [
-        (kind, g.d, p.lam, p.gamma, p.delta, shape, extent, horizon, cap, seed, lo, hi)
-        for lo, hi in index_chunks(replicas, chunk)
-    ]
+    d = res.required("d")
+    if res.get("geometry", "box") == "torus":
+        domain = Torus(res.get("side", 5))
+    else:
+        domain = Box(res.get("radius", 50))
+    horizon = res.get("horizon", 100.0)
+    cap = res.get("cap", 5000)
+    replicas = res.get("replicas", 1000)
+    rows = critical.run_replicas(kind, d, p, domain, horizon, cap, replicas, seed, workers)
     writer.meta(_base_meta("simulate", res))
-    header = ("replica", "survived", "extinction_time", "peak_active", "event_count")
-    rows = [row for part in chunked_map(_simulate_chunk, chunks, workers) for row in part]
-    writer.table(header, rows)
+    writer.table(
+        ("replica", "survived", "extinction_time", "peak_active", "event_count"),
+        [(i, *row) for i, row in enumerate(rows)],
+    )
     return 0
 
 
 def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    kind = res.get("kind", str, "contact")
-    d = res.get("d", int, None)
-    if d is None:
-        raise ParameterError("--d is required")
-    lams = res.get("lambdas", _parse_floats, None)
-    if not lams:
-        raise ParameterError("--lambdas is required (comma-separated rates)")
-    gamma = res.get("gamma", float, 1.0)
-    delta = res.get("delta", float, 1.0)
-    replicas = res.get("replicas", int, 2000)
+    kind = res.get("kind", "contact")
+    d = res.required("d")
+    lams = res.required("lambdas")
+    gamma = res.get("gamma", 1.0)
+    delta = res.get("delta", 1.0)
+    replicas = res.get("replicas", 2000)
     proxy = _proxy(res, d)
     writer.meta(_base_meta("sweep", res))
     rows = []
@@ -323,22 +345,20 @@ def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
 
 
 def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    kind = res.get("kind", str, "contact")
-    d = res.get("d", int, None)
-    if d is None:
-        raise ParameterError("--d is required")
-    gamma = res.get("gamma", float, 1.0)
-    delta = res.get("delta", float, 1.0)
+    kind = res.get("kind", "contact")
+    d = res.required("d")
+    gamma = res.get("gamma", 1.0)
+    delta = res.get("delta", 1.0)
     est = critical.bisect_critical(
         kind,
         d,
         gamma,
         delta,
-        eps=res.get("eps", float, critical.DEFAULT_EPS),
-        tol=res.get("tol", float, None),
-        probe_replicas=res.get("probe_replicas", int, 2000),
-        bracket_replicas=res.get("bracket_replicas", int, 10000),
-        lambda_max=res.get("lambda_max", float, None),
+        eps=res.get("eps", critical.DEFAULT_EPS),
+        tol=res.get("tol"),
+        probe_replicas=res.get("probe_replicas", 2000),
+        bracket_replicas=res.get("bracket_replicas", 10000),
+        lambda_max=res.get("lambda_max"),
         proxy=_proxy(res, d),
         seed=seed,
         workers=workers,
@@ -369,21 +389,19 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> 
 
 
 def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    kind = res.get("kind", str, "contact")
-    d_list = res.get("d_list", _parse_ints, None)
-    if not d_list:
-        raise ParameterError("--d-list is required (comma-separated dimensions)")
-    gamma = res.get("gamma", float, 1.0)
-    delta = res.get("delta", float, 1.0)
+    kind = res.get("kind", "contact")
+    d_list = res.required("d_list")
+    gamma = res.get("gamma", 1.0)
+    delta = res.get("delta", 1.0)
     proxies = {d: _proxy(res, d) for d in d_list}
     rows = critical.trend_study(
         kind,
         d_list,
         gamma,
         delta,
-        eps=res.get("eps", float, critical.DEFAULT_EPS),
-        probe_replicas=res.get("probe_replicas", int, 2000),
-        bracket_replicas=res.get("bracket_replicas", int, 10000),
+        eps=res.get("eps", critical.DEFAULT_EPS),
+        probe_replicas=res.get("probe_replicas", 2000),
+        bracket_replicas=res.get("bracket_replicas", 10000),
         proxy=proxies,
         seed=seed,
         workers=workers,
@@ -403,11 +421,9 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
 
 
 def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    d = res.get("d", int, None)
-    if d is None:
-        raise ParameterError("--d is required")
+    d = res.required("d")
     p = _params(res)
-    times = res.get("times", _parse_floats, [0.0, 0.5, 1.0, 2.0, 5.0])
+    times = res.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
     c1, c2 = eigenvalues(moment_matrix(d, p))
     meta = _base_meta("ode", res)
     meta.update(
@@ -429,13 +445,11 @@ def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int
 
 
 def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    d = res.get("d", int, None)
-    if d is None:
-        raise ParameterError("--d is required")
-    gamma = res.get("gamma", float, 1.0)
-    delta = res.get("delta", float, 1.0)
-    theta = res.get("theta", float, None)
-    lam = res.get("lam", float, None)
+    d = res.required("d")
+    gamma = res.get("gamma", 1.0)
+    delta = res.get("delta", 1.0)
+    theta = res.get("theta")
+    lam = res.get("lam")
     if lam is None and theta is None:
         raise ParameterError("provide --lambda or --theta")
     if lam is None:
@@ -444,8 +458,8 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     est = saw.estimate_survival_lower_bound(
         d,
         p,
-        n_max=res.get("n_max", int, 2000),
-        replicas=res.get("replicas", int, 4000),
+        n_max=res.get("n_max", 2000),
+        replicas=res.get("replicas", 4000),
         seed=seed,
     )
     meta = _base_meta("sawbound", res)
@@ -575,14 +589,12 @@ def _check_union_spaces(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
-    suite = res.get("suite", str, "all")
+    suite = res.get("suite", "all")
     if suite != "all":
         raise ParameterError(f"unknown suite {suite!r} (only 'all' is defined)")
-    replicas = res.get("replicas", int, 50000)
+    replicas = res.get("replicas", 50000)
     p = ProcessParams(
-        lam=res.get("lam", float, 0.8),
-        gamma=res.get("gamma", float, 1.0),
-        delta=res.get("delta", float, 1.0),
+        lam=res.get("lam", 0.8), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
     )
     checks: list[tuple[str, bool, str]] = []
     checks += _check_single_site_generators(p)
@@ -601,18 +613,49 @@ def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: in
 # ----------------------------------------------------------------------
 # parser assembly
 # ----------------------------------------------------------------------
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="master seed (env TWOSTAGE_SEED)")
-    sp.add_argument("--threads", type=int, default=None, help="worker count (env TWOSTAGE_THREADS)")
-    sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    sp.add_argument("--out", type=str, default=None, help="output path ('-' for stdout)")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default=None)
+_RATES = ("lam", "gamma", "delta")
+_PROXY = ("horizon", "cap", "radius")
+_COMMON = ("seed", "threads", "config", "out", "fmt")
+
+# command -> (handler, help, option dests besides _COMMON)
+COMMANDS = {
+    "simulate": (
+        cmd_simulate,
+        "replica summaries of one process",
+        ("kind", "d", *_RATES, "replicas", *_PROXY, "geometry", "side"),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "survival estimates over a rate grid",
+        ("kind", "d", "lambdas", "gamma", "delta", "replicas", *_PROXY),
+    ),
+    "bisect": (
+        cmd_bisect,
+        "bisection for the empirical critical rate",
+        ("kind", "d", "gamma", "delta", "eps", "tol", "probe_replicas", "bracket_replicas",
+         "lambda_max", *_PROXY),
+    ),
+    "trend": (
+        cmd_trend,
+        "scaled critical rate across dimensions",
+        ("kind", "d_list", "gamma", "delta", "eps", "probe_replicas", "bracket_replicas", *_PROXY),
+    ),
+    "ode": (cmd_ode, "moment trajectories and eigenvalue report", ("d", *_RATES, "times")),
+    "sawbound": (
+        cmd_sawbound,
+        "second-moment survival lower bound",
+        ("d", *_RATES, "theta", "n_max", "replicas"),
+    ),
+    "oracle-check": (
+        cmd_oracle_check,
+        "exactness harness: simulator vs uniformization",
+        ("suite", "replicas", *_RATES),
+    ),
+}
 
 
-def _add_rates(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--lambda", dest="lam", type=float, default=None, help="infection rate")
-    sp.add_argument("--gamma", type=float, default=None, help="maturation rate")
-    sp.add_argument("--delta", type=float, default=None, help="excess semi-infected recovery rate")
+def _command_options(command: str) -> tuple[str, ...]:
+    return COMMANDS[command][2] + _COMMON
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,86 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"twostage {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="replica summaries of one process")
-    sp.add_argument("--kind", choices=("contact", "sir"), default=None)
-    sp.add_argument("--d", type=int, default=None)
-    _add_rates(sp)
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--cap", type=int, default=None, help="active-set survival cap")
-    sp.add_argument("--geometry", choices=("box", "torus"), default=None)
-    sp.add_argument("--radius", type=int, default=None, help="box radius")
-    sp.add_argument("--side", type=int, default=None, help="torus side")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="survival estimates over a rate grid")
-    sp.add_argument("--kind", choices=("contact", "sir"), default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambdas", type=_parse_floats, default=None, help="comma-separated rates")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("bisect", help="bisection for the empirical critical rate")
-    sp.add_argument("--kind", choices=("contact", "sir"), default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None, help="survival level defining the crossing")
-    sp.add_argument("--tol", type=float, default=None, help="rate resolution")
-    sp.add_argument("--probe-replicas", type=int, default=None)
-    sp.add_argument("--bracket-replicas", type=int, default=None)
-    sp.add_argument("--lambda-max", type=float, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_bisect)
-
-    sp = sub.add_parser("trend", help="scaled critical rate across dimensions")
-    sp.add_argument("--kind", choices=("contact", "sir"), default=None)
-    sp.add_argument("--d-list", type=_parse_ints, default=None, help="comma-separated dimensions")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--probe-replicas", type=int, default=None)
-    sp.add_argument("--bracket-replicas", type=int, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_trend)
-
-    sp = sub.add_parser("ode", help="moment trajectories and eigenvalue report")
-    sp.add_argument("--d", type=int, default=None)
-    _add_rates(sp)
-    sp.add_argument("--times", type=_parse_floats, default=None, help="comma-separated sample times")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ode)
-
-    sp = sub.add_parser("sawbound", help="second-moment survival lower bound")
-    sp.add_argument("--d", type=int, default=None)
-    _add_rates(sp)
-    sp.add_argument("--theta", type=float, default=None, help="rate factor above threshold scale")
-    sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sawbound)
-
-    sp = sub.add_parser("oracle-check", help="exactness harness: simulator vs uniformization")
-    sp.add_argument("--suite", type=str, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    _add_rates(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_oracle_check)
-
+    for command, (func, help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in _command_options(command):
+            opt = OPTIONS[name]
+            sp.add_argument(opt.flag, dest=name, type=opt.type, choices=opt.choices, help=opt.help)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -710,15 +679,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config)
-        res = Resolver(args, cfg)
-        seed = res.get("seed", int, _env_seed())
-        workers = res.get("threads", int, default_workers())
+        res = Resolver(args, load_config(args.config, args.command))
+        seed = res.get("seed", _env_int("TWOSTAGE_SEED", 0))
+        workers = res.get("threads", _env_int("TWOSTAGE_THREADS", os.cpu_count() or 1, minimum=1))
         if workers < 1:
             raise ParameterError(f"--threads must be >= 1, got {workers}")
-        out_path = res.get("out", str, "-")
+        out_path = res.get("out", "-")
         # tables default to CSV; the mixed-record sawbound report to JSON lines
-        fmt = res.get("fmt", str, "jsonl" if args.command == "sawbound" else "csv")
+        fmt = res.get("fmt", "jsonl" if args.command == "sawbound" else "csv")
         with OutputWriter(out_path, fmt) as writer:
             code = args.func(res, writer, workers, seed)
     except (ParameterError, DomainError) as exc:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .engine import FULL, SparseConfig, all_full_config, simulate
 from .errors import BracketError, ParameterError
-from .lattice import Box, LatticeGeometry, origin
+from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
 from .parallel import chunked_map, index_chunks
@@ -78,25 +78,41 @@ class SurvivalEstimate:
     proxy: str
 
 
-def _survival_chunk(args) -> int:
-    kind, d, lam, gamma, delta, horizon, cap, radius, seed, lo, hi = args
-    p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-    g = LatticeGeometry(d, Box(radius))
+def _replica_chunk(args) -> list[tuple]:
+    kind, d, p, domain, horizon, cap, seed, lo, hi = args
+    g = LatticeGeometry(d, domain)
     init = SparseConfig(states={origin(d): FULL})
-    count = 0
+    rows = []
     for i in range(lo, hi):
-        out = simulate(
-            "contact" if kind == "contact" else "sir",
-            init,
-            p,
-            g,
-            horizon,
-            substream(seed, i),
-            active_cap=cap,
-        )
-        if out.survived:
-            count += 1
-    return count
+        out = simulate(kind, init, p, g, horizon, substream(seed, i), active_cap=cap)
+        rows.append((out.survived, out.extinction_time, out.peak_active, out.event_count))
+    return rows
+
+
+def run_replicas(
+    kind: str,
+    d: int,
+    p: ProcessParams,
+    domain: Domain,
+    horizon: float,
+    cap: int,
+    replicas: int,
+    seed: int,
+    workers: int = 1,
+) -> list[tuple]:
+    """Replicas from a single fully-infected origin, in index order.
+
+    Each row is (survived, extinction_time, peak_active, event_count).
+    Replica i uses the derived stream (seed, i), so the rows are identical
+    for any worker count.
+    """
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    if kind not in ("contact", "sir"):
+        raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
+    chunk = max(64, replicas // (4 * max(1, workers)))
+    chunks = [(kind, d, p, domain, horizon, cap, seed, lo, hi) for lo, hi in index_chunks(replicas, chunk)]
+    return [row for part in chunked_map(_replica_chunk, chunks, workers) for row in part]
 
 
 def estimate_survival(
@@ -110,19 +126,12 @@ def estimate_survival(
 ) -> SurvivalEstimate:
     """Monte Carlo survival estimate from a single fully-infected origin.
 
-    Replica i uses the derived stream (seed, i), so results are identical
-    for any worker count.
+    The replicas are ``run_replicas``'s, in the box of the proxy's radius.
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    if kind not in ("contact", "sir"):
-        raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
-    chunk = max(64, replicas // (4 * max(1, workers)))
-    chunks = [
-        (kind, d, p.lam, p.gamma, p.delta, proxy.horizon, proxy.active_cap, proxy.box_radius, seed, lo, hi)
-        for lo, hi in index_chunks(replicas, chunk)
-    ]
-    survivals = sum(chunked_map(_survival_chunk, chunks, workers))
+    rows = run_replicas(
+        kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap, replicas, seed, workers
+    )
+    survivals = sum(row[0] for row in rows)
     ci_low, ci_high = wilson_interval(survivals, replicas)
     return SurvivalEstimate(
         kind=kind,

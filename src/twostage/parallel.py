@@ -7,19 +7,7 @@ chunks are merged in submission order to keep reductions reproducible.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Callable, Sequence
-
-
-def default_workers() -> int:
-    """Worker count from TWOSTAGE_THREADS, else available parallelism."""
-    env = os.environ.get("TWOSTAGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:

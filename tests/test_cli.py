@@ -221,6 +221,67 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "# replicas=4" in out2
 
 
+CFG_BASE = [
+    "simulate", "--kind", "contact", "--d", "2", "--replicas", "5",
+    "--horizon", "4", "--radius", "6", "--seed", "3",
+]
+
+
+def test_config_key_lambda_is_the_long_option_name(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.5\n")
+    out = run_cli(CFG_BASE + ["--config", str(cfg)], tmp_path, "lam.csv").decode()
+    assert "# lam=0.5" in out
+
+
+def test_config_key_format_selects_the_writer(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = jsonl\n")
+    out = run_cli(CFG_BASE + ["--lambda", "0.5", "--config", str(cfg)], tmp_path, "fmt.out")
+    records = [json.loads(line) for line in out.decode().splitlines()]
+    assert records[0]["record"] == "meta" and records[0]["fmt"] == "jsonl"
+    assert [r["record"] for r in records[1:]] == ["row"] * 5
+
+
+def test_config_unknown_key_is_a_validation_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replicaz = 9\n")
+    proc = cli_process(CFG_BASE + ["--lambda", "0.5", "--config", str(cfg)], tmp_path / "typo.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert "'replicaz' is not an option of simulate" in proc.stderr
+    assert not (tmp_path / "typo.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("replicas = many", "config key replicas: invalid literal"),
+        ("kind = sis", "config key kind must be one of contact, sir, got 'sis'"),
+    ],
+)
+def test_config_bad_value_is_a_validation_error(tmp_path, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    base = ["simulate", "--d", "2", "--lambda", "0.5", "--config", str(cfg)]
+    proc = cli_process(base, tmp_path / "bad.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+def test_output_does_not_depend_on_threads(tmp_path):
+    one = run_cli(SIM_ARGS + ["--threads", "1"], tmp_path, "t1.csv")
+    two = run_cli(SIM_ARGS + ["--threads", "2"], tmp_path, "t2.csv")
+    assert one == two
+    assert b"threads" not in one
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_env_threads_is_a_validation_error(tmp_path, value):
+    proc = cli_process(SIM_ARGS, tmp_path / "env.csv", env={"TWOSTAGE_THREADS": value})
+    assert proc.returncode == 2, proc.stderr
+    assert "TWOSTAGE_THREADS" in proc.stderr
+
+
 def test_env_seed_default(tmp_path):
     args = [
         "simulate", "--kind", "contact", "--d", "2", "--lambda", "0.5",
@@ -228,3 +289,64 @@ def test_env_seed_default(tmp_path):
     ]
     out = run_cli(args, tmp_path, "env.csv", env={"TWOSTAGE_SEED": "99"}).decode()
     assert "# seed=99" in out
+
+
+COMMON_FLAGS = {
+    "--seed": "seed", "--threads": "threads", "--config": "config",
+    "--out": "out", "--format": "fmt",
+}
+RATE_FLAGS = {"--lambda": "lam", "--gamma": "gamma", "--delta": "delta"}
+PROXY_FLAGS = {"--horizon": "horizon", "--cap": "cap", "--radius": "radius"}
+BISECT_FLAGS = {
+    "--kind": "kind", "--gamma": "gamma", "--delta": "delta", "--eps": "eps",
+    "--probe-replicas": "probe_replicas", "--bracket-replicas": "bracket_replicas",
+}
+CLI_SURFACE = {
+    "simulate": {
+        "--kind": "kind", "--d": "d", **RATE_FLAGS, "--replicas": "replicas",
+        **PROXY_FLAGS, "--geometry": "geometry", "--side": "side",
+    },
+    "sweep": {
+        "--kind": "kind", "--d": "d", "--lambdas": "lambdas", "--gamma": "gamma",
+        "--delta": "delta", "--replicas": "replicas", **PROXY_FLAGS,
+    },
+    "bisect": {
+        **BISECT_FLAGS, "--d": "d", "--tol": "tol", "--lambda-max": "lambda_max",
+        **PROXY_FLAGS,
+    },
+    "trend": {**BISECT_FLAGS, "--d-list": "d_list", **PROXY_FLAGS},
+    "ode": {"--d": "d", **RATE_FLAGS, "--times": "times"},
+    "sawbound": {
+        "--d": "d", **RATE_FLAGS, "--theta": "theta", "--n-max": "n_max",
+        "--replicas": "replicas",
+    },
+    "oracle-check": {"--suite": "suite", "--replicas": "replicas", **RATE_FLAGS},
+}
+
+
+def test_cli_surface_flags_and_dests():
+    import argparse
+
+    from twostage.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, sp in sub.choices.items():
+        surface[name] = {
+            flag: action.dest
+            for action in sp._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+    assert surface == {name: {**flags, **COMMON_FLAGS} for name, flags in CLI_SURFACE.items()}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_help_exits_zero(command, capsys):
+    from twostage.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: twostage {command}")
