@@ -59,14 +59,14 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 class Option(NamedTuple):
@@ -163,7 +163,7 @@ def _cast(name: str, text: str):
     opt = OPTIONS[name]
     try:
         value = opt.type(text)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ParameterError(f"config key {opt.flag[2:]}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ParameterError(
@@ -593,6 +593,8 @@ def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: in
     if suite != "all":
         raise ParameterError(f"unknown suite {suite!r} (only 'all' is defined)")
     replicas = res.get("replicas", 50000)
+    if replicas < 1:
+        raise ParameterError(f"--replicas must be >= 1, got {replicas}")
     p = ProcessParams(
         lam=res.get("lam", 0.8), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
     )

@@ -20,12 +20,12 @@ O(1) amortized cost.  Sites are handled as integer codes internally
 
 Draw contract: each event reads one uniform and one exponential from
 rng.EventDraws, so a replica's draws are a fixed function of the stream
-it is handed (the same draws as lockstep fills of 8192 uniforms then
-8192 exponentials).  Where the generator is left afterwards is not part
-of the contract: a replica that stays inside the peeked first fill
-leaves it just past the exponentials it read, not past the full fill.
-A generator reused for a second call still reads no output twice, so
-the calls stay independent.
+it is handed (the same draws as lockstep fills of rng._DRAW_BUF
+uniforms then as many exponentials).  Where the generator is left
+afterwards is not part of the contract: a replica that stays inside the
+peeked first fill leaves it just past the exponentials it read, not
+past the full fill.  A generator reused for a second call still reads
+no output twice, so the calls stay independent.
 """
 from __future__ import annotations
 

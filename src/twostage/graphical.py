@@ -32,7 +32,7 @@ from .engine import FULL, HEALTHY, RECOVERED, SEMI, SparseConfig
 from .errors import DomainError, ParameterError
 from .lattice import Site, l1_norm, sub
 from .params import ProcessParams
-from .rng import DrawBuffer
+from .rng import exponentials
 
 
 @dataclass(frozen=True)
@@ -239,42 +239,53 @@ class LazyClocks:
     Drawing independent exponentials in data-dependent order leaves the
     joint law unchanged, so estimators may explore a region lazily
     without materializing every clock.
+
+    Draw contract: each clock read for the first time takes the next value
+    of ``rng.exponentials(rng)``, scaled by its rate, whatever its kind;
+    nothing is drawn before the first such read.  ``clear`` forgets every
+    memoized clock and keeps reading the same stream, so one instance
+    serves a run of independent replicas.
     """
 
-    __slots__ = ("_p", "_buf", "_w", "_y", "_gam", "_u")
+    __slots__ = ("_p", "_draw", "_w", "_y", "_gam", "_u")
 
-    def __init__(self, p: ProcessParams, rng_or_buf: np.random.Generator | DrawBuffer):
+    def __init__(self, p: ProcessParams, rng: np.random.Generator):
         self._p = p
-        self._buf = rng_or_buf if isinstance(rng_or_buf, DrawBuffer) else DrawBuffer(rng_or_buf)
+        self._draw = exponentials(rng).__next__
         self._w: dict[Site, float] = {}
         self._y: dict[Site, float] = {}
         self._gam: dict[Site, float] = {}
         self._u: dict[tuple[Site, Site], float] = {}
 
+    def clear(self) -> None:
+        """Forget every memoized clock; later reads draw fresh values."""
+        for memo in (self._w, self._y, self._gam, self._u):
+            memo.clear()
+
     def recovery(self, x: Site) -> float:
         v = self._w.get(x)
         if v is None:
-            v = self._buf.exponential()
+            v = self._draw()
             self._w[x] = v
         return v
 
     def removal(self, x: Site) -> float:
         v = self._y.get(x)
         if v is None:
-            v = self._buf.exponential() / (1.0 + self._p.delta)
+            v = self._draw() / (1.0 + self._p.delta)
             self._y[x] = v
         return v
 
     def maturation(self, x: Site) -> float:
         v = self._gam.get(x)
         if v is None:
-            v = self._buf.exponential() / self._p.gamma
+            v = self._draw() / self._p.gamma
             self._gam[x] = v
         return v
 
     def transmission(self, x: Site, y: Site) -> float:
         v = self._u.get((x, y))
         if v is None:
-            v = self._buf.exponential() / self._p.lam
+            v = self._draw() / self._p.lam
             self._u[(x, y)] = v
         return v

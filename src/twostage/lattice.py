@@ -110,10 +110,8 @@ class LatticeGeometry:
     def contains(self, x: Site) -> bool:
         if len(x) != self.d:
             return False
-        if self.is_torus:
-            return all(0 <= c < self._side for c in x)
-        r = self._offset
-        return all(-r <= c <= r for c in x)
+        side, off = self._side, self._offset
+        return all(0 <= c + off < side for c in x)
 
     def require(self, x: Site) -> None:
         if not self.contains(x):
@@ -147,13 +145,9 @@ class LatticeGeometry:
 
     def sites(self) -> Iterator[Site]:
         """All sites of the domain in a fixed lexicographic order."""
-        if self.is_torus:
-            rng = range(self._side)
-        else:
-            rng = range(-self._offset, self._offset + 1)
+        coords = range(-self._offset, self._side - self._offset)
         # rightmost coordinate varies fastest
-        for coords in product(rng, repeat=self.d):
-            yield coords
+        yield from product(coords, repeat=self.d)
 
     # ------------------------------------------------------------------
     # integer-coded fast path used by the event loops

@@ -14,6 +14,7 @@ the weighted union lower bound against exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -80,19 +81,9 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
             f"state space has {n_states} configurations, over the limit of "
             f"{_MAX_DENSE} for a dense generator; use a smaller geometry"
         )
-    states: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-
-    def expand(prefix: list[int]) -> None:
-        if len(prefix) == n_sites:
-            key = tuple(prefix)
-            index[key] = len(states)
-            states.append(key)
-            return
-        for v in values:
-            expand(prefix + [v])
-
-    expand([])
+    # the last site's state varies fastest
+    states = list(product(values, repeat=n_sites))
+    index = {state: k for k, state in enumerate(states)}
     q = np.zeros((n_states, n_states))
     for k, state in enumerate(states):
         cfg = SparseConfig(states={x: s for x, s in zip(sites, state) if s != 0})

@@ -5,10 +5,16 @@ master seed plus a tuple of integer keys (replica index, probe value,
 block number, ...).  Two runs with the same seed therefore produce
 identical results regardless of worker count or call order, and any
 single replica can be replayed in isolation.
+
+Draws that are consumed one at a time come in fills of _DRAW_BUF values,
+which amortize numpy's per-call cost: ``EventDraws`` pairs uniform and
+exponential fills for the event loops, and ``exponentials`` yields the
+standard exponentials of a stream for lazily drawn clocks.
 """
 from __future__ import annotations
 
 import struct
+from typing import Iterator
 
 import numpy as np
 
@@ -91,35 +97,13 @@ class EventDraws:
         return resume
 
 
-class DrawBuffer:
-    """Batched scalar draws from a numpy Generator.
+def exponentials(rng: np.random.Generator) -> Iterator[float]:
+    """Standard exponentials of rng, drawn _DRAW_BUF at a time.
 
-    Amortizes the per-call overhead of Generator.random() /
-    standard_exponential() for loops that consume draws one at a time.
+    Nothing is drawn before the first value is requested.
     """
-
-    __slots__ = ("_rng", "_size", "_u", "_ui", "_e", "_ei")
-
-    def __init__(self, rng: np.random.Generator, size: int = 8192):
-        self._rng = rng
-        self._size = size
-        self._u = rng.random(size)
-        self._ui = 0
-        self._e = rng.standard_exponential(size)
-        self._ei = 0
-
-    def uniform(self) -> float:
-        i = self._ui
-        if i >= self._size:
-            self._u = self._rng.random(self._size)
-            i = 0
-        self._ui = i + 1
-        return self._u[i]
-
-    def exponential(self) -> float:
-        i = self._ei
-        if i >= self._size:
-            self._e = self._rng.standard_exponential(self._size)
-            i = 0
-        self._ei = i + 1
-        return self._e[i]
+    # drawn and never read: the exponentials have always followed one fill
+    # of uniforms, and this keeps pinned-seed streams where they are
+    rng.random(_DRAW_BUF)
+    while True:
+        yield from rng.standard_exponential(_DRAW_BUF).tolist()

@@ -33,7 +33,7 @@ from .errors import DomainError, ParameterError
 from .graphical import LazyClocks
 from .lattice import Site, origin
 from .params import ProcessParams
-from .rng import DrawBuffer, substream
+from .rng import substream
 
 
 def drift_period(d: int) -> int:
@@ -344,15 +344,19 @@ class DirectUnionEstimate:
     replicas: int
 
 
+_UNION_BLOCK = 10_000  # replicas per substream(seed, block index)
+
+
 def estimate_union_direct(
-    d: int, n: int, p: ProcessParams, replicas: int, seed: int, block: int = 10000
+    d: int, n: int, p: ProcessParams, replicas: int, seed: int
 ) -> DirectUnionEstimate:
     """Estimate P(some length-n structured path carries a full chain).
 
     Only dimensions with drift period 1 (3 <= d <= 7) are supported:
     there every structured path is a monotone path in the drift band, so
     the union event equals survival of a level-by-level reachability
-    front, which is evaluated with lazily drawn clocks.
+    front, which is evaluated with lazily drawn clocks.  Replicas come in
+    blocks of 10 000, each reading one stream ``substream(seed, block)``.
     """
     if drift_period(d) != 1:
         raise ParameterError(
@@ -360,17 +364,16 @@ def estimate_union_direct(
         )
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
     band = drift_band(d)
     axes = range(d - band, d)
     o = origin(d)
     successes = 0
-    done = 0
-    blk = 0
-    while done < replicas:
-        todo = min(block, replicas - done)
-        buf = DrawBuffer(substream(seed, blk))
-        for _ in range(todo):
-            clocks = LazyClocks(p, buf)
+    for start in range(0, replicas, _UNION_BLOCK):
+        clocks = LazyClocks(p, substream(seed, start // _UNION_BLOCK))
+        for _ in range(min(_UNION_BLOCK, replicas - start)):
+            clocks.clear()
             level = [o]
             for _step in range(n):
                 nxt: list[Site] = []
@@ -392,8 +395,6 @@ def estimate_union_direct(
                 level = nxt
             if level:
                 successes += 1
-        done += todo
-        blk += 1
     p_hat = successes / replicas
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
     return DirectUnionEstimate(p_hat=p_hat, se=se, successes=successes, replicas=replicas)

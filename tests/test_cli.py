@@ -268,6 +268,28 @@ def test_config_bad_value_is_a_validation_error(tmp_path, line, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--d", "2", "--lambdas", "abc"], "argument --lambdas: expected comma-separated numbers"),
+        (["trend", "--d-list", "4,x"], "argument --d-list: expected comma-separated integers"),
+        (["ode", "--d", "2", "--lambda", "1", "--times", "1,abc"], "argument --times: expected comma-separated numbers"),
+    ],
+)
+def test_bad_list_flag_names_the_expected_format(tmp_path, args, message):
+    proc = cli_process(args, tmp_path / "list.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_oracle_check_needs_a_replica(tmp_path, replicas):
+    proc = cli_process(["oracle-check", "--replicas", replicas], tmp_path / "oracle.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert f"--replicas must be >= 1, got {replicas}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_does_not_depend_on_threads(tmp_path):
     one = run_cli(SIM_ARGS + ["--threads", "1"], tmp_path, "t1.csv")
     two = run_cli(SIM_ARGS + ["--threads", "2"], tmp_path, "t2.csv")

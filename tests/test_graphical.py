@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import pytest
 
@@ -15,7 +17,7 @@ from twostage.graphical import (
 )
 from twostage.lattice import Box, LatticeGeometry, l1_norm, sub
 from twostage.params import ProcessParams
-from twostage.rng import substream
+from twostage.rng import exponentials, substream
 from twostage.saw import sample_walk
 
 P = ProcessParams(lam=1.5, gamma=2.0, delta=0.5)
@@ -151,6 +153,47 @@ def test_comparison_probabilities():
     pg = p.gamma / (1 + p.gamma + p.delta)
     assert abs(u_hits / n - pu) <= 3 * math.sqrt(pu * (1 - pu) / n)
     assert abs(gam_hits / n - pg) <= 3 * math.sqrt(pg * (1 - pg) / n)
+
+
+def _lazy_clock_values(clocks, n_sites):
+    # all four kinds interleaved per site, then a re-read of every 7th site
+    # (memo hits, in another kind order)
+    out = []
+    for j in range(n_sites):
+        x, y = (j, 0), (j, 1)
+        out += [clocks.recovery(x), clocks.transmission(x, y), clocks.maturation(y), clocks.removal(y)]
+    for j in range(0, n_sites, 7):
+        x, y = (j, 0), (j, 1)
+        out += [clocks.removal(y), clocks.recovery(x), clocks.transmission(x, y), clocks.maturation(y)]
+    return out
+
+
+def test_lazy_clock_stream_golden():
+    # pinned stream: one fill of 8192 uniforms that are never read, then
+    # exponentials 8192 at a time; 22 000 fresh draws cross two refills
+    values = _lazy_clock_values(LazyClocks(P, substream(31)), 5500)
+    assert len(values) == 25144
+    digest = hashlib.sha256(b"".join(struct.pack("<d", v) for v in values)).hexdigest()
+    assert digest == "d7a74d9adf0854cc6b3776f1dbec62427ec9eb66d2f7ee6bc562dc57666c8bcd"
+
+
+def test_exponentials_follow_one_unread_uniform_fill():
+    draws = exponentials(substream(33))
+    got = [next(draws) for _ in range(8192 + 5)]
+    ref = substream(33)
+    ref.random(8192)
+    want = ref.standard_exponential(8192).tolist() + ref.standard_exponential(5).tolist()
+    assert got == want
+
+
+def test_lazy_clocks_clear_forgets_clocks_and_keeps_the_stream():
+    cleared = LazyClocks(P, substream(34))
+    first = [cleared.recovery((j,)) for j in range(10)]
+    assert [cleared.recovery((j,)) for j in range(10)] == first  # memoized
+    cleared.clear()
+    again = [cleared.recovery((j,)) for j in range(10)]
+    straight = LazyClocks(P, substream(34))
+    assert [straight.recovery((j,)) for j in range(20)] == first + again
 
 
 def test_sir_from_clocks_single_site():

@@ -244,6 +244,13 @@ def test_union_direct_needs_period_one():
         estimate_union_direct(10, 4, p, 100, seed=0)
 
 
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_union_direct_needs_a_replica(replicas):
+    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
+    with pytest.raises(ParameterError, match="replicas must be >= 1"):
+        estimate_union_direct(6, 4, p, replicas, seed=0)
+
+
 def test_union_direct_matches_exhaustive_path_enumeration():
     # second estimator: eagerly sample clocks on the reachable region and
     # take the max of the per-path events over all 3^n monotone paths
@@ -275,3 +282,14 @@ def test_union_direct_matches_exhaustive_path_enumeration():
     # the union dominates any single path's event probability
     step = (p.lam / (1 + p.lam)) * (p.gamma / (1 + p.gamma + p.delta))
     assert est.p_hat >= step**n - 3 * est.se
+
+
+@pytest.mark.parametrize(
+    "d, n, replicas, seed, successes",
+    [(4, 4, 25000, 41, 8625), (6, 3, 3000, 42, 1954), (5, 5, 3000, 43, 1812), (3, 6, 3000, 44, 678)],
+)
+def test_union_direct_successes_golden(d, n, replicas, seed, successes):
+    # recorded before the lazy clocks' draw buffer was replaced; 25 000
+    # replicas span three 10 000-replica blocks
+    p = ProcessParams(lam=2.0, gamma=4.0, delta=0.5)
+    assert estimate_union_direct(d, n, p, replicas, seed).successes == successes
