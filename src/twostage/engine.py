@@ -11,9 +11,9 @@ Three continuous-time Markov processes share this module:
   contact process in law.
 
 The spread simulators use a next-event scheme over the active sites with
-a thinning bound for infections: attempts are proposed at the constant
+a thinning bound for infections: attempts are drawn at the constant
 per-source rate lam * 2d and rejected when the chosen direction leaves
-the domain or hits a non-susceptible site.  Rejected proposals are null
+the domain or hits a non-susceptible site.  Rejected attempts are null
 transitions, so the scheme is exact in law while keeping every event at
 O(1) amortized cost.  Sites are handled as integer codes internally
 (see lattice.LatticeGeometry); the public API speaks tuples.
@@ -245,8 +245,6 @@ def simulate(
     lam2d = lam * twod
     semi_tot = gamma + 1.0 + delta  # total outgoing rate of a semi-infected site
 
-    opos = {c: i for i, c in enumerate(ones)}
-    tpos = {c: i for i, c in enumerate(twos)}
     ever2: Optional[set[int]] = set(twos) if track_ever_fully_infected else None
 
     nbr_cache = g.neighbor_cache
@@ -291,11 +289,8 @@ def simulate(
                 if i >= n2:
                     i = n2 - 1
                 x = twos[i]
-                last = twos.pop()
-                if i < len(twos):
-                    twos[i] = last
-                    tpos[last] = i
-                del tpos[x]
+                twos[i] = twos[-1]
+                twos.pop()
                 if sir:
                     states[x] = RECOVERED
                 else:
@@ -310,16 +305,12 @@ def simulate(
                 if i >= n1:
                     i = n1 - 1
                 x = ones[i]
-                last = ones.pop()
-                if i < len(ones):
-                    ones[i] = last
-                    opos[last] = i
-                del opos[x]
+                ones[i] = ones[-1]
+                ones.pop()
                 events += 1
                 if v - i * semi_tot < gamma:
                     # maturation to fully infected
                     states[x] = FULL
-                    tpos[x] = len(twos)
                     twos.append(x)
                     if ever2 is not None:
                         ever2.add(x)
@@ -333,7 +324,7 @@ def simulate(
                         extinction_time = t
                         break
             else:
-                # infection proposal: uniform (source, direction) thinning
+                # infection attempt: uniform (source, direction) thinning
                 k = int((u - n2 - n1 * semi_tot) / lam)
                 if k >= n2 * twod:
                     k = n2 * twod - 1
@@ -345,7 +336,6 @@ def simulate(
                 y = nb[direction]
                 if y >= 0 and y not in states:
                     states[y] = SEMI
-                    opos[y] = len(ones)
                     ones.append(y)
                     events += 1
                     active = n1 + 1 + n2
@@ -487,16 +477,12 @@ def simulate_linear(
         v = (u - i) * bundle
         z, th = vals.get(x, _ZERO_PAIR)
         if v < 1.0:
-            # reset row
+            # reset row; a zeta drop can strand neighbors, pruned lazily
             if z or th:
                 del vals[x]
-                # zeta drop can strand neighbors; they are pruned lazily
-                if not any(vals.get(y, _ZERO_PAIR)[0] for y in nbrs(x) if y >= 0):
-                    deactivate(x)
-            else:
-                # null touch: prune if no zeta-positive neighbor remains
-                if not any(vals.get(y, _ZERO_PAIR)[0] for y in nbrs(x) if y >= 0):
-                    deactivate(x)
+            # prune x once no zeta-positive neighbor remains
+            if not any(vals.get(y, _ZERO_PAIR)[0] for y in nbrs(x) if y >= 0):
+                deactivate(x)
         elif v < 1.0 + delta:
             # clear theta, keep zeta
             if th:

@@ -10,6 +10,11 @@ The drift makes the admissible set at every free step at least
 
 sites large, so the walk never gets stuck for d >= 3.
 
+A drift step adds +1 to one band coordinate and a free step leaves the
+band alone, so site i of a walk has band-coordinate sum i // period.
+Sites of different levels (band sums) are therefore distinct, and a walk
+can revisit a site only inside its current level.
+
 For two independent such walks S and V, the index sets
 
     F = { i : V_i hits some S_j }         (site collisions)
@@ -24,7 +29,7 @@ survival of the SIR model started from one fully-infected origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +68,6 @@ class WalkPath:
     d: int
     drift_period: int
     drift_band: int
-    _visited: set[Site] = field(repr=False, default_factory=set)
 
     @classmethod
     def start(cls, d: int) -> "WalkPath":
@@ -71,8 +75,7 @@ class WalkPath:
         band = drift_band(d)
         if 2 * (d - band) - period < 1:
             raise ParameterError(f"admissible floor not positive at d={d}")
-        o = origin(d)
-        return cls(sites=[o], d=d, drift_period=period, drift_band=band, _visited={o})
+        return cls(sites=[origin(d)], d=d, drift_period=period, drift_band=band)
 
     @classmethod
     def from_sites(cls, d: int, sites: Sequence[Site]) -> "WalkPath":
@@ -84,7 +87,6 @@ class WalkPath:
             d=d,
             drift_period=drift_period(d),
             drift_band=drift_band(d),
-            _visited=set(sites),
         )
 
     @property
@@ -98,10 +100,6 @@ class WalkPath:
     def is_drift_step(self, step_index: int) -> bool:
         """Whether the 1-based step producing site ``step_index`` is a drift step."""
         return step_index % self.drift_period == 0
-
-    def append(self, site: Site) -> None:
-        self.sites.append(site)
-        self._visited.add(site)
 
     def is_valid(self) -> bool:
         """Membership validator for the structured path class."""
@@ -129,13 +127,16 @@ def admissible_next(path: WalkPath) -> list[Site]:
     """Unvisited sites one free (non-drift) step from the walk's head.
 
     Only defined when the next step is a free step; calling it at a
-    drift step is a contract error.
+    drift step is a contract error.  The path must be in the structured
+    class (``path.is_valid()``): only the head's level is searched for
+    visited sites.
     """
     s = len(path.sites)
     if path.is_drift_step(s):
         raise ParameterError(f"step {s} is a drift step; the admissible set is undefined")
     cur = path.last
-    visited = path._visited
+    # site j has band sum j // period, so only the head's level can be revisited
+    visited = path.sites[s - s % path.drift_period :]
     out = []
     for axis in range(path.d - path.drift_band):
         c = cur[axis]
@@ -165,7 +166,7 @@ def step_walk(path: WalkPath, rng: np.random.Generator) -> Site:
         if not cands:
             raise AssertionError("empty admissible set; the floor bound excludes this")
         nxt = cands[int(rng.integers(len(cands)))]
-    path.append(nxt)
+    path.sites.append(nxt)
     return nxt
 
 
@@ -194,15 +195,15 @@ class PairStats:
     f_minus_k: int
 
 
-def pair_stats(s_walk: WalkPath | Sequence[Site], v_walk: WalkPath | Sequence[Site], n: int) -> PairStats:
+def pair_stats(s_walk: WalkPath, v_walk: WalkPath, n: int) -> PairStats:
     """Site- and edge-collision counts of two walks up to length n.
 
     F collects indices i <= n with V_i among S's first n+1 sites; K
     collects indices i <= n-1 whose edge (V_i, V_{i+1}) appears among
     S's first n edges.  Index 0 is always in F (shared origin).
     """
-    s_sites = s_walk.sites if isinstance(s_walk, WalkPath) else list(s_walk)
-    v_sites = v_walk.sites if isinstance(v_walk, WalkPath) else list(v_walk)
+    s_sites = s_walk.sites
+    v_sites = v_walk.sites
     if len(s_sites) < n + 1 or len(v_sites) < n + 1:
         raise ParameterError(f"both walks must have length >= {n}")
     s_set = set(s_sites[: n + 1])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -73,12 +74,24 @@ def test_straight_line_histories_have_full_shell_minus_one():
 
 
 def test_admissible_matches_brute_force_on_sampled_walks():
-    rng = substream(2)
-    for i in range(30):
-        n = 1 + int(rng.integers(30))
-        path = sample_walk(10, n, substream(3, i))
-        if not path.is_drift_step(len(path.sites)):
-            assert set(admissible_next(path)) == _brute_admissible(path)
+    # periods 2 and 3: at d=10 a level holds only the head, at d=50 it
+    # can also hold the site before it
+    for d in (10, 50):
+        rng = substream(2)
+        for i in range(30):
+            n = 1 + int(rng.integers(30))
+            path = sample_walk(d, n, substream(3, i))
+            if not path.is_drift_step(len(path.sites)):
+                assert set(admissible_next(path)) == _brute_admissible(path)
+
+
+def test_sample_walk_stream_golden():
+    # sha256 of the sites of 20 walks each at d=8, 12, 50 (periods 2, 2, 3)
+    h = hashlib.sha256()
+    for d in (8, 12, 50):
+        for i in range(20):
+            h.update(repr(sample_walk(d, 60, substream(31, d, i)).sites).encode())
+    assert h.hexdigest() == "bfd875702bc32bbbf3888e09c638ecf57dd33a379efa68700865345706bc9ac3"
 
 
 def test_drift_steps_uniform_over_band():
