@@ -129,6 +129,8 @@ def lambda_from_theta(d: int, gamma: float, delta: float, theta: float) -> float
     """
     if theta <= 0:
         raise ParameterError(f"theta must be positive, got {theta}")
+    if gamma <= 0:
+        raise ParameterError(f"gamma must be positive, got {gamma}")
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     return theta * (1.0 + gamma + delta) / (2.0 * d * gamma)

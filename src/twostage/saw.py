@@ -15,6 +15,12 @@ band alone, so site i of a walk has band-coordinate sum i // period.
 Sites of different levels (band sums) are therefore distinct, and a walk
 can revisit a site only inside its current level.
 
+When period <= 2 (3 <= d <= 20) a level holds only the head before each
+free step, so the admissible set is always all 2 * (d - band) free moves
+and a walk's per-step draw bounds are fixed in advance: ``sample_walk``
+then draws the whole walk in one ``rng.integers`` call, which reads the
+same stream as the per-step calls of ``step_walk``.
+
 For two independent such walks S and V, the index sets
 
     F = { i : V_i hits some S_j }         (site collisions)
@@ -170,13 +176,51 @@ def step_walk(path: WalkPath, rng: np.random.Generator) -> Site:
     return nxt
 
 
+_PLANS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _walk_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move table, draw bounds and table offsets of an n-step walk at period <= 2.
+
+    Table rows are the free moves in ``admissible_next``'s order (axis by
+    axis, +1 before -1), then the ``band`` drift moves; step s draws below
+    ``band`` and reads the drift rows when s % period == 0, and draws below
+    2 * (d - band) from the free rows otherwise.  Kept per d at the longest
+    n asked for, and sliced.
+    """
+    plan = _PLANS.get(d)
+    if plan is None or len(plan[1]) < n:
+        period, band = drift_period(d), drift_band(d)
+        free = d - band
+        unit = np.eye(d, dtype=np.int64)
+        signed = np.stack([unit[:free], -unit[:free]], axis=1).reshape(-1, d)
+        moves = np.concatenate([signed, unit[free:]])
+        drift = np.arange(1, n + 1) % period == 0
+        plan = _PLANS[d] = (moves, np.where(drift, band, 2 * free), np.where(drift, 2 * free, 0))
+    moves, highs, offsets = plan
+    return moves, highs[:n], offsets[:n]
+
+
 def sample_walk(d: int, n: int, rng: np.random.Generator) -> WalkPath:
-    """A structured walk of length n from the origin."""
+    """A structured walk of length n from the origin.
+
+    At period <= 2 no free step can hit a visited site (see the module
+    docstring), so the whole walk is drawn at once: one
+    ``rng.integers(0, highs)`` call yields the same values, and leaves
+    the generator in the same state, as the n scalar ``rng.integers``
+    calls of ``step_walk``; a cumulative sum of the chosen moves gives the
+    sites.  Longer periods step the walk with ``step_walk``.
+    """
     if n < 1:
         raise ParameterError(f"walk length must be >= 1, got {n}")
     path = WalkPath.start(d)
-    for _ in range(n):
-        step_walk(path, rng)
+    if path.drift_period > 2:
+        for _ in range(n):
+            step_walk(path, rng)
+        return path
+    moves, highs, offsets = _walk_plan(d, n)
+    steps = moves[rng.integers(0, highs) + offsets]
+    path.sites.extend(map(tuple, steps.cumsum(axis=0).tolist()))
     return path
 
 
@@ -202,6 +246,8 @@ def pair_stats(s_walk: WalkPath, v_walk: WalkPath, n: int) -> PairStats:
     collects indices i <= n-1 whose edge (V_i, V_{i+1}) appears among
     S's first n edges.  Index 0 is always in F (shared origin).
     """
+    if s_walk.d != v_walk.d:
+        raise ParameterError(f"walks must share a dimension, got d={s_walk.d} and d={v_walk.d}")
     s_sites = s_walk.sites
     v_sites = v_walk.sites
     if len(s_sites) < n + 1 or len(v_sites) < n + 1:

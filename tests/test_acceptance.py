@@ -220,6 +220,7 @@ def torus_ensembles():
     return zetas, thetas, proj_counts, contact_counts
 
 
+@pytest.mark.slow
 def test_c04_torus_moments_match_ode(torus_ensembles):
     zetas, thetas, _, _ = torus_ensembles
     ez, eth = solve_moments(2, TORUS_PARAMS, TORUS_T)
@@ -230,6 +231,7 @@ def test_c04_torus_moments_match_ode(torus_ensembles):
     report(4, "torus-moments-vs-ode", ok, f"zeta z={zz:+.2f}, theta z={zt:+.2f} at n={n}")
 
 
+@pytest.mark.slow
 def test_c05_projection_matches_contact_marginal(torus_ensembles):
     zetas, thetas, proj_counts, contact_counts = torus_ensembles
     n = TORUS_REPLICAS
@@ -283,6 +285,7 @@ def test_c06_path_event_containment():
 # ----------------------------------------------------------------------
 # 7. admissible-set floor along sampled walks
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_c07_admissible_floor():
     quotas = {10: 50000, 50: 40000, 200: 20000}
     total_checked = 0
@@ -334,6 +337,7 @@ def test_c08_union_bound_enumeration():
 # ----------------------------------------------------------------------
 # 9. contact survival dominates SIR survival
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_c09_contact_dominates_sir():
     proxy = ProxySettings(horizon=40.0, active_cap=300, box_radius=16)
     replicas = 10000
@@ -372,6 +376,7 @@ def test_c10_no_survival_below_lower_bound():
 # ----------------------------------------------------------------------
 # 11. scaled critical-rate trend across dimensions (the long job)
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_c11_scaled_threshold_trend():
     proxy = ProxySettings(horizon=60.0, active_cap=800, box_radius=20)
     rows = trend_study(
@@ -403,6 +408,7 @@ def test_c11_scaled_threshold_trend():
 # ----------------------------------------------------------------------
 # 12. second-moment bound consistency with the direct union estimate
 # ----------------------------------------------------------------------
+@pytest.mark.slow
 def test_c12_second_moment_bound_vs_direct():
     d, n = 6, 8
     lam = lambda_from_theta(d, 1.0, 1.0, 1.5)

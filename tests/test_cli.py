@@ -290,6 +290,15 @@ def test_oracle_check_needs_a_replica(tmp_path, replicas):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_sawbound_theta_needs_positive_gamma(tmp_path, gamma):
+    args = ["sawbound", "--d", "12", "--theta", "1.5", "--gamma", gamma, "--delta", "1"]
+    proc = cli_process(args, tmp_path / "sb.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert f"gamma must be positive, got {float(gamma)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_does_not_depend_on_threads(tmp_path):
     one = run_cli(SIM_ARGS + ["--threads", "1"], tmp_path, "t1.csv")
     two = run_cli(SIM_ARGS + ["--threads", "2"], tmp_path, "t2.csv")

@@ -88,6 +88,7 @@ def test_bisect_bracket_failure():
         )
 
 
+@pytest.mark.slow
 def test_bisect_d1_large_gamma_reduces_to_single_stage():
     # with near-instant maturation the model degenerates to a single
     # infected state, whose one-dimensional threshold sits near 1.65.

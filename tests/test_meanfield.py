@@ -126,6 +126,12 @@ def test_lambda_from_theta():
         lambda_from_theta(12, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_lambda_from_theta_needs_positive_gamma(gamma):
+    with pytest.raises(ParameterError, match="gamma must be positive"):
+        lambda_from_theta(12, gamma, 1.0, 1.5)
+
+
 def test_validations():
     with pytest.raises(ParameterError):
         moment_matrix(0, ProcessParams(lam=1.0, gamma=1.0, delta=1.0))

@@ -20,6 +20,7 @@ from twostage.saw import (
     pair_stats,
     pair_weight,
     sample_walk,
+    step_walk,
     union_lower_bound,
 )
 
@@ -92,6 +93,20 @@ def test_sample_walk_stream_golden():
         for i in range(20):
             h.update(repr(sample_walk(d, 60, substream(31, d, i)).sites).encode())
     assert h.hexdigest() == "bfd875702bc32bbbf3888e09c638ecf57dd33a379efa68700865345706bc9ac3"
+
+
+def test_sample_walk_vector_path_matches_step_walk():
+    # periods 1 and 2: the one-call draw must be the per-step loop, site
+    # for site, and leave the generator where the loop leaves it
+    for d in range(3, 21):
+        for n in (1, 2, 3, 8, 101):
+            fast, slow = substream(47, d), substream(47, d)
+            for _ in range(2):
+                path = WalkPath.start(d)
+                for _ in range(n):
+                    step_walk(path, slow)
+                assert sample_walk(d, n, fast).sites == path.sites, (d, n)
+            assert fast.bit_generator.state == slow.bit_generator.state, (d, n)
 
 
 def test_drift_steps_uniform_over_band():
@@ -197,6 +212,13 @@ def test_pair_stats_length_precondition():
     a = sample_walk(10, 5, substream(9, 0))
     with pytest.raises(ParameterError):
         pair_stats(a, a, 6)
+
+
+def test_pair_stats_rejects_mixed_dimensions():
+    a = sample_walk(10, 5, substream(9, 1))
+    b = sample_walk(12, 5, substream(9, 2))
+    with pytest.raises(ParameterError, match="share a dimension"):
+        pair_stats(a, b, 5)
 
 
 def test_pair_weight_examples():
