@@ -25,10 +25,14 @@ uniforms then as many exponentials).  Where the generator is left
 afterwards is not part of the contract: a replica that stays inside the
 peeked first fill leaves it just past the exponentials it read, not
 past the full fill.  A generator reused for a second call still reads
-no output twice, so the calls stay independent.
+no output twice, so the calls stay independent.  A replica's path up to
+time t does not depend on ``horizon``, which only ends the loop, so the
+state at each of ``simulate``'s ``sample_times`` s is the final state of
+the same stream run to horizon s.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -87,14 +91,36 @@ class LinearConfig:
 
 @dataclass
 class TrajectorySummary:
-    """Replica-level outcome of a spread simulation."""
+    """Replica-level outcome of a spread simulation.
 
-    final: SparseConfig
+    ``final`` is the configuration at the stop time and ``snapshots`` the
+    configurations at ``simulate``'s sample times.  Both are kept as the
+    run's site-code maps and decoded on first access, so a caller that
+    reads only the scalars never decodes a site.
+    """
+
     extinction_time: Optional[float]  # None when the survival proxy fired
     survived: bool
     peak_active: int
     event_count: int
-    ever_fully_infected: Optional[set[Site]] = None
+    ever_fully_infected: Optional[set[Site]]
+    _g: LatticeGeometry = field(repr=False)
+    _codes: dict[int, int] = field(repr=False)
+    _stop_time: float = field(repr=False)
+    _samples: list[tuple[dict[int, int], float]] = field(repr=False)
+
+    def _decode(self, codes: dict[int, int], time: float) -> SparseConfig:
+        decode = self._g.decode
+        return SparseConfig(states={decode(c): s for c, s in codes.items()}, time=time)
+
+    @functools.cached_property
+    def final(self) -> SparseConfig:
+        return self._decode(self._codes, self._stop_time)
+
+    @functools.cached_property
+    def snapshots(self) -> list[SparseConfig]:
+        """One configuration per sample time, stamped with that time."""
+        return [self._decode(codes, at) for codes, at in self._samples]
 
 
 def all_full_config(g: LatticeGeometry) -> SparseConfig:
@@ -194,6 +220,8 @@ def simulate(
     rng: np.random.Generator,
     active_cap: Optional[int] = None,
     track_ever_fully_infected: bool = False,
+    *,
+    sample_times: Optional[list[float]] = None,
 ) -> TrajectorySummary:
     """Run one replica of the contact or SIR process.
 
@@ -210,9 +238,15 @@ def simulate(
         active_cap: survival cap on |state 1| + |state 2|, or None.
         track_ever_fully_infected: record every site that ever reaches
             state 2 (off by default; costs memory).
+        sample_times: ascending times in (init.time, horizon) at which
+            to record the configuration, or None; a time after
+            extinction records the final configuration.  Not allowed
+            with ``active_cap``, since a capped run has no state after
+            its stop.
 
     Returns:
-        TrajectorySummary with the configuration at the stop time.
+        TrajectorySummary with the configuration at the stop time and,
+        in ``snapshots``, one per sample time.
     """
     if kind not in ("contact", "sir"):
         raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
@@ -221,6 +255,18 @@ def simulate(
         raise ParameterError(f"horizon must be finite and exceed init.time, got {horizon}")
     if active_cap is not None and active_cap < 1:
         raise ParameterError(f"active_cap must be >= 1, got {active_cap}")
+    samples: list[float] = []
+    if sample_times is not None:
+        if active_cap is not None:
+            raise ParameterError("sample_times cannot be combined with active_cap")
+        samples = [float(s) for s in sample_times]
+        if not samples:
+            raise ParameterError("sample_times must be non-empty")
+        bounds = [init.time, *samples, horizon]
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ParameterError(
+                f"sample_times must ascend strictly within ({init.time}, {horizon}), got {samples}"
+            )
 
     allowed = SIR_STATES if sir else CONTACT_STATES
     states: dict[int, int] = {}
@@ -250,6 +296,8 @@ def simulate(
     nbr_cache = g.neighbor_cache
     nbr_build = g.neighbor_codes
 
+    snaps: list[dict[int, int]] = []
+    stop = samples[0] if samples else horizon  # the next sample time, else the horizon
     t = init.time
     peak = len(ones) + len(twos)
     events = 0
@@ -276,10 +324,14 @@ def simulate(
                 e_buf = draws.e
                 n_buf = len(u_buf)
             t_next = t + e_buf[cur] / rate
-            if t_next >= horizon:
-                t = horizon
-                survived = True
-                break
+            if t_next >= stop:
+                if t_next >= horizon:
+                    t = horizon
+                    survived = True
+                    break
+                while t_next >= stop:  # stop < horizon: a sample time
+                    snaps.append(dict(states))
+                    stop = samples[len(snaps)] if len(snaps) < len(samples) else horizon
             t = t_next
             u = u_buf[cur] * rate
             cur += 1
@@ -345,18 +397,19 @@ def simulate(
                         survived = True
                         break
 
-    final = SparseConfig(
-        states={g.decode(c): s for c, s in states.items()},
-        time=t if extinction_time is None else extinction_time,
-    )
+    # sample times after the stop see the final configuration
+    snaps += [states] * (len(samples) - len(snaps))
     ever_sites = {g.decode(c) for c in ever2} if ever2 is not None else None
     return TrajectorySummary(
-        final=final,
         extinction_time=extinction_time,
         survived=survived,
         peak_active=peak,
         event_count=events,
         ever_fully_infected=ever_sites,
+        _g=g,
+        _codes=states,
+        _stop_time=t if extinction_time is None else extinction_time,
+        _samples=list(zip(snaps, samples)),
     )
 
 

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import twostage
 from twostage.critical import ProxySettings, estimate_survival, trend_study
 from twostage.engine import (
     FULL,
@@ -472,6 +473,8 @@ CLI_CASES = [
 
 def test_c13_cli_determinism(tmp_path):
     env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(twostage.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["TWOSTAGE_THREADS"] = "1"
     ok = True
     details = []

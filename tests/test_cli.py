@@ -1,13 +1,20 @@
 import json
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+import twostage
+
+# the subprocess imports the package from the same tree as this test run
+SRC = os.path.dirname(os.path.dirname(twostage.__file__))
+
 
 def cli_process(args, out, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
     full_env.setdefault("TWOSTAGE_THREADS", "1")
     if env:
         full_env.update(env)
@@ -203,6 +210,15 @@ def test_oracle_check_quick_suite(tmp_path):
     lines = [l for l in a.decode().splitlines() if not l.startswith("#")]
     assert lines[0] == "check,status,detail"
     assert all(",pass," in line for line in lines[1:])
+
+
+def test_oracle_check_output_golden(tmp_path):
+    # recorded when each replica ran once per time point; the one-pass
+    # marginal check must count the same replicas in the same states
+    out = run_cli(["oracle-check", "--replicas", "500", "--seed", "11"], tmp_path, "oc.csv")
+    assert hashlib.sha256(out).hexdigest() == (
+        "d2f5c430558ec79dca8960fca5a040120181f2f67ccf8b115aabdb69bb35d5d2"
+    )
 
 
 def test_config_file_and_flag_precedence(tmp_path):

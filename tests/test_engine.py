@@ -372,3 +372,71 @@ def test_generators_without_an_output_counted_jump_take_the_full_fill(
     ref.random(8192)
     ref.standard_exponential(8192)
     assert (rng.random(4) == ref.random(4)).all()
+
+
+# ----------------------------------------------------------------------
+# snapshots: a path up to time t does not depend on the horizon
+# ----------------------------------------------------------------------
+SNAPSHOT_SETUPS = [
+    # kind, d, domain, (lam, gamma, delta), sample times, horizon, seed
+    ("contact", 1, Torus(3), (0.8, 1.0, 1.0), [0.5, 1.0], 2.0, 61),
+    ("sir", 1, Torus(3), (0.8, 1.0, 1.0), [0.5, 1.0], 2.0, 62),
+    ("contact", 2, Box(6), (1.5, 2.0, 0.5), [0.3, 1.0, 2.5, 4.0], 6.0, 63),
+    ("sir", 2, Box(6), (2.0, 2.0, 0.5), [0.3, 1.0, 2.5, 4.0], 6.0, 64),
+]
+
+
+@pytest.mark.parametrize("kind,d,domain,rates,times,horizon,seed", SNAPSHOT_SETUPS)
+def test_snapshots_equal_runs_stopped_at_the_sample_times(kind, d, domain, rates, times, horizon, seed):
+    p = ProcessParams(*rates)
+    g = LatticeGeometry(d, domain)
+    init = _config({origin(d): FULL})
+    died_early = 0
+    for i in range(60):
+        out = simulate(kind, init, p, g, horizon, substream(seed, i), sample_times=times)
+        plain = simulate(kind, init, p, g, horizon, substream(seed, i))
+        assert out.final == plain.final
+        assert (out.extinction_time, out.event_count, out.peak_active) == (
+            plain.extinction_time, plain.event_count, plain.peak_active
+        )
+        assert [s.time for s in out.snapshots] == times
+        for s, snap in zip(times, out.snapshots):
+            alone = simulate(kind, init, p, g, s, substream(seed, i))
+            assert snap.states == alone.final.states, (i, s)
+        if out.extinction_time is not None and out.extinction_time < times[0]:
+            died_early += 1
+            assert all(snap.states == out.final.states for snap in out.snapshots)
+    assert died_early > 0
+
+
+def test_snapshots_of_an_empty_start_are_empty():
+    g = LatticeGeometry(1, Torus(3))
+    p = ProcessParams(lam=0.8, gamma=1.0, delta=1.0)
+    out = simulate("contact", _config({}), p, g, 2.0, substream(0), sample_times=[0.5, 1.0])
+    assert [(s.states, s.time) for s in out.snapshots] == [({}, 0.5), ({}, 1.0)]
+
+
+def test_sample_times_validations():
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Box(2))
+    init = _config({(0,): FULL})
+    for times in ([], [1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [-1.0], [2.0], [3.0], [float("nan")]):
+        with pytest.raises(ParameterError):
+            simulate("contact", init, p, g, 2.0, substream(0), sample_times=times)
+    with pytest.raises(ParameterError):
+        simulate("contact", init, p, g, 2.0, substream(0), active_cap=5, sample_times=[1.0])
+    with pytest.raises(TypeError):
+        simulate("contact", init, p, g, 2.0, substream(0), None, False, [1.0])
+    assert simulate("contact", init, p, g, 2.0, substream(0)).snapshots == []
+
+
+def test_final_is_decoded_only_when_read():
+    p = ProcessParams(lam=0.9, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(2, Box(8))
+    calls = []
+    decode = g.decode
+    g.decode = lambda code: calls.append(code) or decode(code)
+    out = simulate("contact", _config({(0, 0): FULL}), p, g, 3.0, substream(12, 2))
+    assert out.event_count > 0 and calls == []
+    assert out.final is out.final
+    assert len(calls) == len(out.final.states) > 0
