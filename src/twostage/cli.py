@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, sweep, bisect, trend, ode, sawbound, oracle-check.
+Each only resolves its options, calls the library and writes the result;
+the oracle-check suite is ``oracle.check_suite``.
 Tables are written as CSV, heterogeneous reports as JSON lines; both
 start with a metadata block (tool version, resolved configuration,
 master seed) so every file is self-describing.  Identical configuration
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import os
 import sys
@@ -30,7 +31,6 @@ import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .engine import FULL, SparseConfig, simulate
 from .errors import (
     BracketError,
     DomainError,
@@ -38,7 +38,7 @@ from .errors import (
     ResourceError,
     TwoStageError,
 )
-from .lattice import Box, LatticeGeometry, Torus, origin
+from .lattice import Box, Torus
 from .meanfield import (
     eigenvalues,
     is_subcritical,
@@ -48,7 +48,6 @@ from .meanfield import (
     solve_moments,
 )
 from .params import ProcessParams
-from .rng import substream
 from . import critical, oracle, saw
 
 
@@ -435,11 +434,9 @@ def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int
             "lower_bound_lambda": lower_bound_lambda(d, p.gamma, p.delta),
         }
     )
+    # every time is validated before the first line is written
+    rows = [(t, *solve_moments(d, p, t)) for t in times]
     writer.meta(meta)
-    rows = []
-    for t in times:
-        zeta, theta = solve_moments(d, p, t)
-        rows.append((t, zeta, theta))
     writer.table(("t", "zeta_mean", "theta_mean"), rows)
     return 0
 
@@ -492,105 +489,6 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     return 0
 
 
-def _check_single_site_generators(p: ProcessParams) -> list[tuple[str, bool, str]]:
-    g = LatticeGeometry(1, Box(0))
-    results = []
-    chain = oracle.build_exact("contact", g, p)
-    # states enumerate (0, 1, 2) for the one site
-    want = {
-        (0,): {},
-        (1,): {(2,): p.gamma, (0,): 1.0 + p.delta},
-        (2,): {(0,): 1.0},
-    }
-    ok = True
-    for src, targets in want.items():
-        i = chain.index[src]
-        for j, dst in enumerate(chain.states):
-            expected = targets.get(dst, 0.0) if dst != src else -sum(targets.values())
-            if chain.generator[i, j] != expected:
-                ok = False
-    results.append(("generator-single-site-contact", ok, "exact row match"))
-    chain = oracle.build_exact("sir", g, p)
-    rec = chain.index[(-1,)]
-    ok = bool((chain.generator[rec] == 0).all())
-    results.append(("generator-single-site-sir", ok, "recovered row identically zero"))
-    return results
-
-
-def _check_ring_generators(p: ProcessParams) -> list[tuple[str, bool, str]]:
-    g = LatticeGeometry(1, Torus(3))
-    results = []
-    for kind in ("contact", "sir"):
-        chain = oracle.build_exact(kind, g, p)
-        q = chain.generator
-        row_ok = bool(abs(q.sum(axis=1)).max() < 1e-12)
-        off = q.copy()
-        for i in range(off.shape[0]):
-            off[i, i] = 0.0
-        sign_ok = bool((off >= 0).all())
-        results.append(
-            (f"generator-ring-{kind}", row_ok and sign_ok, "row sums 0, off-diagonals >= 0")
-        )
-    return results
-
-
-def _check_pure_death(p: ProcessParams) -> list[tuple[str, bool, str]]:
-    g = LatticeGeometry(1, Box(0))
-    chain = oracle.build_exact("contact", g, p)
-    start = chain.config_index({(0,): FULL})
-    ok = True
-    worst = 0.0
-    for t in (0.5, 1.0, 2.0):
-        dist = oracle.transient(chain, start, t)
-        healthy = chain.marginal(dist, (0,))[0]
-        gap = abs(healthy - (1.0 - math.exp(-t)))
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            ok = False
-    return [("pure-death-closed-form", ok, f"max |gap| {worst:.2e}")]
-
-
-def _check_ring_marginals(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, bool, str]]:
-    g = LatticeGeometry(1, Torus(3))
-    o = origin(1)
-    init = SparseConfig(states={o: FULL})
-    times = [0.5, 1.0, 2.0]
-    results = []
-    for kind in ("contact", "sir"):
-        chain = oracle.build_exact(kind, g, p)
-        start = chain.config_index(init)
-        ok = True
-        worst = 0.0
-        # one run per replica to the last time; the earlier ones are snapshots
-        counts = {t: {s: 0 for s in chain.state_values} for t in times}
-        for i in range(replicas):
-            out = simulate(kind, init, p, g, times[-1], substream(seed, i), sample_times=times[:-1])
-            for t, cfg in zip(times, [*out.snapshots, out.final]):
-                counts[t][cfg.state(o)] += 1
-        for t in times:
-            exact = chain.marginal(oracle.transient(chain, start, t), o)
-            for s, prob in exact.items():
-                sigma = math.sqrt(max(prob * (1.0 - prob), 1e-12) / replicas)
-                z = abs(counts[t][s] / replicas - prob) / sigma
-                worst = max(worst, z)
-                if z > 4.0:
-                    ok = False
-        results.append((f"marginals-ring-{kind}", ok, f"max |z| {worst:.2f} (limit 4)"))
-        seed += replicas
-    return results
-
-
-def _check_union_spaces(seed: int) -> list[tuple[str, bool, str]]:
-    report = oracle.brute_union_spaces(200, substream(seed, 97))
-    return [
-        (
-            "union-bound-spaces",
-            report.violations == 0,
-            f"{report.trials} spaces, worst gap {report.worst_gap:.2e}",
-        )
-    ]
-
-
 def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
     suite = res.get("suite", "all")
     if suite != "all":
@@ -601,12 +499,7 @@ def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: in
     p = ProcessParams(
         lam=res.get("lam", 0.8), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
     )
-    checks: list[tuple[str, bool, str]] = []
-    checks += _check_single_site_generators(p)
-    checks += _check_ring_generators(p)
-    checks += _check_pure_death(p)
-    checks += _check_ring_marginals(p, replicas, seed)
-    checks += _check_union_spaces(seed)
+    checks = oracle.check_suite(p, replicas, seed)
     writer.meta(_base_meta("oracle-check", res))
     writer.table(
         ("check", "status", "detail"),

@@ -195,8 +195,9 @@ def bisect_critical(
     The bracket starts at the proven lower bound (expected sub-eps) and
     doubles upward until a probe exceeds eps; bisection then narrows the
     bracket to ``tol`` (default 5% of the lower bound).  Every probe is
-    recorded.  Raises BracketError when no bracket exists below
-    ``lambda_max`` (default 64x the lower bound).
+    recorded.  Raises ParameterError unless ``tol`` and ``lambda_max``
+    are positive and finite, and BracketError when no bracket exists
+    below ``lambda_max`` (default 64x the lower bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -212,10 +213,12 @@ def bisect_critical(
     lb = lower_bound_lambda(d, gamma, delta)
     if tol is None:
         tol = 0.05 * lb
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     if lambda_max is None:
         lambda_max = 64.0 * lb
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
     if proxy is None:
         proxy = ProxySettings.default_for(d)
 

@@ -16,6 +16,7 @@ exponential, with a confluent branch guarding the repeated-root case.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -100,8 +101,8 @@ def solve_moments(d: int, p: ProcessParams, t: float) -> tuple[float, float]:
     Unique solution of the moment ODE with initial vector (1, 0); exact on
     the torus as well, by spatial homogeneity.
     """
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
     c1, c2 = eigenvalues(moment_matrix(d, p))
     return _moment_solution(c1, c2, 2.0 * d * p.lam, float(t))
 
@@ -127,8 +128,8 @@ def lambda_from_theta(d: int, gamma: float, delta: float, theta: float) -> float
 
     theta > 1 places the rate a fixed factor above the threshold scale.
     """
-    if theta <= 0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     if d < 1:

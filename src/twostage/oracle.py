@@ -10,19 +10,25 @@ is tested against, through an independent code path.
 
 A second validator generates random finite probability spaces and checks
 the weighted union lower bound against exhaustive enumeration.
+
+``check_suite`` is the whole ``twostage oracle-check`` suite: both
+validators, with the simulator's marginals checked against the first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .engine import CONTACT_STATES, SIR_STATES, SparseConfig, site_rates_contact, site_rates_sir
+from .engine import (
+    CONTACT_STATES, FULL, SIR_STATES, SparseConfig, site_rates_contact, site_rates_sir
+)
 from .errors import ParameterError, ResourceError
-from .lattice import LatticeGeometry, Site
+from .lattice import Box, LatticeGeometry, Site, Torus, origin
 from .params import ProcessParams
-from . import saw
+from . import engine, rng, saw
 
 _MAX_DENSE = 12_000  # configurations; the dense generator is ~1 GB of float64
 _POISSON_TAIL = 1e-10
@@ -199,3 +205,75 @@ def brute_union_spaces(count: int, rng: np.random.Generator) -> UnionValidationR
     return UnionValidationReport(
         trials=count, violations=violations, worst_gap=float(worst), cases=cases
     )
+
+
+def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, bool, str]]:
+    """Every exactness check as (name, passed, detail), in report order.
+
+    The contact and SIR chains are built once each on one site and on
+    the 3-site ring.  The ring marginals are z-scores (limit 4) over
+    ``replicas`` runs on streams (seed, i) for contact and (seed +
+    replicas, i) for SIR; the union bound reads stream (seed, 97).
+    """
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    site, ring = LatticeGeometry(1, Box(0)), LatticeGeometry(1, Torus(3))
+    single = {kind: build_exact(kind, site, p) for kind in ("contact", "sir")}
+    triple = {kind: build_exact(kind, ring, p) for kind in ("contact", "sir")}
+    times = [0.5, 1.0, 2.0]
+    rows: list[tuple[str, bool, str]] = []
+
+    chain = single["contact"]
+    # states enumerate (0, 1, 2) for the one site
+    want = {(0,): {}, (1,): {(2,): p.gamma, (0,): 1.0 + p.delta}, (2,): {(0,): 1.0}}
+    ok = all(
+        chain.generator[chain.index[src], j]
+        == (targets.get(dst, 0.0) if dst != src else -sum(targets.values()))
+        for src, targets in want.items()
+        for j, dst in enumerate(chain.states)
+    )
+    rows.append(("generator-single-site-contact", ok, "exact row match"))
+    chain = single["sir"]
+    ok = bool((chain.generator[chain.index[(-1,)]] == 0).all())
+    rows.append(("generator-single-site-sir", ok, "recovered row identically zero"))
+
+    for kind, chain in triple.items():
+        q = chain.generator
+        off = q - np.diag(q.diagonal())
+        ok = bool(abs(q.sum(axis=1)).max() < 1e-12) and bool((off >= 0).all())
+        rows.append((f"generator-ring-{kind}", ok, "row sums 0, off-diagonals >= 0"))
+
+    chain = single["contact"]
+    start = chain.config_index({(0,): FULL})
+    gaps = [
+        abs(chain.marginal(transient(chain, start, t), (0,))[0] - (1.0 - math.exp(-t)))
+        for t in times
+    ]
+    rows.append(("pure-death-closed-form", max(gaps) <= 1e-9, f"max |gap| {max(gaps):.2e}"))
+
+    o = origin(1)
+    init = SparseConfig(states={o: FULL})
+    for kind, ring_seed in (("contact", seed), ("sir", seed + replicas)):
+        chain = triple[kind]
+        # one run per replica to the last time; the earlier ones are snapshots
+        counts = {t: {s: 0 for s in chain.state_values} for t in times}
+        for i in range(replicas):
+            # module lookups, so perfbench's tracer sees its patched simulate and substream
+            out = engine.simulate(
+                kind, init, p, ring, times[-1], rng.substream(ring_seed, i), sample_times=times[:-1]
+            )
+            for t, cfg in zip(times, [*out.snapshots, out.final]):
+                counts[t][cfg.state(o)] += 1
+        start = chain.config_index(init)
+        zs = [
+            abs(counts[t][s] / replicas - prob)
+            / math.sqrt(max(prob * (1.0 - prob), 1e-12) / replicas)
+            for t in times
+            for s, prob in chain.marginal(transient(chain, start, t), o).items()
+        ]
+        rows.append((f"marginals-ring-{kind}", max(zs) <= 4.0, f"max |z| {max(zs):.2f} (limit 4)"))
+
+    report = brute_union_spaces(200, rng.substream(seed, 97))
+    detail = f"{report.trials} spaces, worst gap {report.worst_gap:.2e}"
+    rows.append(("union-bound-spaces", report.violations == 0, detail))
+    return rows

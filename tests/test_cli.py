@@ -298,6 +298,37 @@ def test_bad_list_flag_names_the_expected_format(tmp_path, args, message):
     assert message in proc.stderr
 
 
+# small enough that a run which misses the validation still ends quickly
+QUICK_BISECT = ["bisect", "--d", "2", "--bracket-replicas", "20", "--probe-replicas", "20",
+                "--horizon", "5", "--radius", "5"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["ode", "--d", "5", "--lambda", "0.3", "--times", "nan,1"], "time must be finite and >= 0, got nan"),
+        (["ode", "--d", "5", "--lambda", "0.3", "--times", "inf"], "time must be finite and >= 0, got inf"),
+        (["sawbound", "--d", "12", "--theta", "nan"], "theta must be positive and finite, got nan"),
+        ([*QUICK_BISECT, "--tol", "nan"], "tol must be positive and finite, got nan"),
+        ([*QUICK_BISECT, "--lambda-max", "nan"], "lambda_max must be positive and finite, got nan"),
+        ([*QUICK_BISECT, "--lambda-max", "-1"], "lambda_max must be positive and finite, got -1.0"),
+    ],
+)
+def test_non_finite_or_non_positive_settings_exit_2_naming_them(tmp_path, args, message):
+    out = tmp_path / "bad.csv"
+    proc = cli_process(args, out)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+def test_ode_bad_time_writes_nothing_to_stdout():
+    # the metadata block is written only once every row is computed
+    proc = cli_process(["ode", "--d", "5", "--lambda", "0.3", "--times", "1,nan"], "-")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("replicas", ["0", "-3"])
 def test_oracle_check_needs_a_replica(tmp_path, replicas):
     proc = cli_process(["oracle-check", "--replicas", replicas], tmp_path / "oracle.csv")

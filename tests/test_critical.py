@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from twostage.critical import (
@@ -85,6 +87,25 @@ def test_bisect_bracket_failure():
         bisect_critical(
             "contact", 2, 1.0, 1.0,
             lambda_max=0.8, probe_replicas=50, bracket_replicas=50, proxy=FAST_PROXY, seed=7,
+        )
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"lambda_max": math.nan}, "lambda_max"),
+        ({"lambda_max": math.inf}, "lambda_max"),
+        ({"lambda_max": -1.0}, "lambda_max"),
+        ({"lambda_max": 0.0}, "lambda_max"),
+    ],
+)
+def test_bisect_rejects_non_finite_or_non_positive_settings(kwargs, name):
+    with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
+        bisect_critical(
+            "contact", 2, 1.0, 1.0,
+            probe_replicas=20, bracket_replicas=20, proxy=FAST_PROXY, seed=7, **kwargs,
         )
 
 

@@ -139,3 +139,16 @@ def test_validations():
         solve_moments(2, ProcessParams(lam=1.0, gamma=1.0, delta=1.0), -0.5)
     with pytest.raises(ParameterError):
         lower_bound_lambda(3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_solve_moments_rejects_non_finite_time(t):
+    with pytest.raises(ParameterError, match="time must be finite"):
+        solve_moments(5, ProcessParams(lam=0.3, gamma=1.0, delta=1.0), t)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_lambda_from_theta_rejects_non_finite_theta(theta):
+    # a non-finite theta must be named, not surface later as a bad lambda
+    with pytest.raises(ParameterError, match="theta must be positive and finite"):
+        lambda_from_theta(12, 1.0, 1.0, theta)

@@ -6,7 +6,8 @@ import pytest
 from twostage.engine import FULL, SEMI, SparseConfig, simulate
 from twostage.errors import ParameterError, ResourceError
 from twostage.lattice import Box, LatticeGeometry, Torus
-from twostage.oracle import brute_union_spaces, build_exact, transient
+from twostage import oracle
+from twostage.oracle import brute_union_spaces, build_exact, check_suite, transient
 from twostage.params import ProcessParams
 from twostage.rng import substream
 
@@ -133,3 +134,36 @@ def test_brute_union_spaces_clean():
     # equality case: single event spaces appear and reach equality
     singles = [c for c in report.cases if c.bound == pytest.approx(c.exact_union)]
     assert singles  # at least one single-event trial hit equality
+
+
+SUITE_ROWS = [
+    "generator-single-site-contact",
+    "generator-single-site-sir",
+    "generator-ring-contact",
+    "generator-ring-sir",
+    "pure-death-closed-form",
+    "marginals-ring-contact",
+    "marginals-ring-sir",
+    "union-bound-spaces",
+]
+
+
+def test_check_suite_rows_in_order_and_passing():
+    rows = check_suite(ProcessParams(lam=0.8, gamma=1.0, delta=1.0), 400, 3)
+    assert [name for name, _, _ in rows] == SUITE_ROWS
+    assert all(ok for _, ok, _ in rows), rows
+    assert rows[-1][2].startswith("200 spaces, worst gap ")
+    with pytest.raises(ParameterError, match="replicas must be >= 1"):
+        check_suite(P, 0, 3)
+
+
+def test_check_suite_builds_each_chain_once(monkeypatch):
+    built = []
+
+    def counting(kind, g, p):
+        built.append((kind, len(list(g.sites()))))
+        return build_exact(kind, g, p)
+
+    monkeypatch.setattr(oracle, "build_exact", counting)
+    check_suite(P, 20, 0)
+    assert sorted(built) == [("contact", 1), ("contact", 3), ("sir", 1), ("sir", 3)]
