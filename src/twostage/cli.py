@@ -333,12 +333,12 @@ def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
     delta = res.get("delta", 1.0)
     replicas = res.get("replicas", 2000)
     proxy = _proxy(res, d)
-    writer.meta(_base_meta("sweep", res))
     rows = []
     for lam in lams:
         p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
         est = critical.estimate_survival(kind, d, p, proxy, replicas, seed, workers)
         rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
+    writer.meta(_base_meta("sweep", res))
     writer.table(("d", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high"), rows)
     return 0
 

@@ -14,6 +14,22 @@ the crossing of the survival curve with a small level ``eps`` (default
 0.02), located by bisection from a doubling bracket; each probed rate
 gets its own derived seed so the answer does not depend on probe order
 or worker count.
+
+A bisection probe is sequential.  It runs replica-index stages [0, 64),
+[64, 128), [128, 256), ... and finishes with the rest of its replicas.
+After each stage but the last it stops once an exact binomial test puts
+the survival probability p clearly on one side of eps: with k survivors
+in n replicas, P(X >= k) < alpha/2 or P(X <= k) < alpha/2 for
+X ~ Binomial(n, eps), i.e. the exact (Clopper-Pearson) interval at level
+alpha excludes eps, and then p_hat lies on the same side of eps.  alpha
+is ``PROBE_ERROR`` (1e-3) split evenly (Bonferroni) over the probe's
+looks, so whatever the true p, a probe stops early on the wrong side of
+eps with probability at most ``PROBE_ERROR``/2.  A probe that never
+stops early decides by p_hat >= eps on all its replicas, as a one-batch
+probe does, and a probe of at most 64 replicas is a single batch.  The
+recorded ``trials`` is the number of replicas actually run.  Replica i
+reads the same stream whatever the stage, so the stages change only how
+many replicas run.
 """
 from __future__ import annotations
 
@@ -26,10 +42,12 @@ from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
-from .parallel import chunked_map, index_chunks
+from .parallel import chunked_map, index_chunks, pool_scope
 from .rng import float_key, mix_seed, substream
 
 DEFAULT_EPS = 0.02
+PROBE_ERROR = 1e-3  # total error of a sequential probe's early stops
+FIRST_STAGE = 64  # replicas before a sequential probe's first look
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,30 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = (p + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p) with 0 < p < 1.
+
+    Each term of the law is exponentiated from its logarithm, so no
+    intermediate over- or underflows; terms below the double range are 0.
+    """
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    pmf = [
+        math.exp(log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+        for i in range(n + 1)
+    ]
+    return min(1.0, math.fsum(pmf[: k + 1])), min(1.0, math.fsum(pmf[k:]))
+
+
+def stage_bounds(replicas: int) -> list[int]:
+    """Replica counts at a probe's looks: 64, 128, 256, ... below replicas, then replicas."""
+    bounds = []
+    n = FIRST_STAGE
+    while n < replicas:
+        bounds.append(n)
+        n *= 2
+    return bounds + [replicas]
 
 
 @dataclass
@@ -99,19 +141,28 @@ def run_replicas(
     replicas: int,
     seed: int,
     workers: int = 1,
+    *,
+    start: int = 0,
 ) -> list[tuple]:
-    """Replicas from a single fully-infected origin, in index order.
+    """Replicas start .. start + replicas - 1 from a fully-infected origin, in index order.
 
     Each row is (survived, extinction_time, peak_active, event_count).
     Replica i uses the derived stream (seed, i), so the rows are identical
-    for any worker count.
+    for any worker count and any split of the indices into calls.
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if kind not in ("contact", "sir"):
         raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
-    chunk = max(64, replicas // (4 * max(1, workers)))
-    chunks = [(kind, d, p, domain, horizon, cap, seed, lo, hi) for lo, hi in index_chunks(replicas, chunk)]
+    if workers > 1:
+        # small chunks, so a short probe stage still reaches every worker
+        chunk = max(8, math.ceil(replicas / (4 * workers)))
+    else:
+        chunk = max(64, replicas // 4)
+    chunks = [
+        (kind, d, p, domain, horizon, cap, seed, lo, hi)
+        for lo, hi in index_chunks(replicas, chunk, start)
+    ]
     return [row for part in chunked_map(_replica_chunk, chunks, workers) for row in part]
 
 
@@ -123,23 +174,40 @@ def estimate_survival(
     replicas: int,
     seed: int,
     workers: int = 1,
+    *,
+    eps: Optional[float] = None,
 ) -> SurvivalEstimate:
     """Monte Carlo survival estimate from a single fully-infected origin.
 
     The replicas are ``run_replicas``'s, in the box of the proxy's radius.
+    With ``eps`` None all of them run in one batch.  With ``eps`` set the
+    estimate is a sequential probe of p against eps (see the module
+    docstring): it runs the stages of ``stage_bounds(replicas)`` and may
+    stop after fewer than ``replicas``; ``trials`` is the number that ran.
     """
-    rows = run_replicas(
-        kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap, replicas, seed, workers
-    )
-    survivals = sum(row[0] for row in rows)
-    ci_low, ci_high = wilson_interval(survivals, replicas)
+    if eps is not None and not 0.0 < eps < 1.0:
+        raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    box = Box(proxy.box_radius)
+    bounds = [replicas] if eps is None else stage_bounds(replicas)
+    half_alpha = 0.5 * PROBE_ERROR / len(bounds)
+    trials = survivals = 0
+    for n in bounds:
+        rows = run_replicas(
+            kind, d, p, box, proxy.horizon, proxy.active_cap, n - trials, seed, workers,
+            start=trials,
+        )
+        survivals += sum(row[0] for row in rows)
+        trials = n
+        if n < replicas and min(binomial_tails(survivals, n, eps)) < half_alpha:
+            break
+    ci_low, ci_high = wilson_interval(survivals, trials)
     return SurvivalEstimate(
         kind=kind,
         d=d,
         params=p,
-        trials=replicas,
+        trials=trials,
         survivals=survivals,
-        p_hat=survivals / replicas,
+        p_hat=survivals / trials,
         ci_low=ci_low,
         ci_high=ci_high,
         proxy=proxy.describe(),
@@ -157,6 +225,7 @@ class ProbeRecord:
     p_hat: float
     ci_low: float
     ci_high: float
+    stop: str  # "early" (the sequential test settled it) or "full"
 
 
 @dataclass
@@ -195,9 +264,11 @@ def bisect_critical(
     The bracket starts at the proven lower bound (expected sub-eps) and
     doubles upward until a probe exceeds eps; bisection then narrows the
     bracket to ``tol`` (default 5% of the lower bound).  Every probe is
-    recorded.  Raises ParameterError unless ``tol`` and ``lambda_max``
-    are positive and finite, and BracketError when no bracket exists
-    below ``lambda_max`` (default 64x the lower bound).
+    a sequential probe against ``eps`` (see the module docstring) and is
+    recorded.  All probes share one worker pool, which is gone when this
+    returns or raises.  Raises ParameterError unless ``tol`` and
+    ``lambda_max`` are positive and finite, and BracketError when no
+    bracket exists below ``lambda_max`` (default 64x the lower bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -227,7 +298,7 @@ def bisect_critical(
     def probe(lam: float, phase: str, replicas: int) -> float:
         p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
         est = estimate_survival(
-            kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers
+            kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
         )
         probes.append(
             ProbeRecord(
@@ -238,38 +309,40 @@ def bisect_critical(
                 p_hat=est.p_hat,
                 ci_low=est.ci_low,
                 ci_high=est.ci_high,
+                stop="early" if est.trials < replicas else "full",
             )
         )
         return est.p_hat
 
-    lo = lb
-    p_lo = probe(lo, "bracket-low", bracket_replicas)
-    if p_lo >= eps:
-        raise BracketError(
-            f"survival {p_lo:.4f} >= eps {eps} already at the lower bound {lb:.6f}; "
-            "no bracket below it exists.  The alive-at-horizon proxy "
-            f"({proxy.describe()}) counts replicas still active at the horizon "
-            "or at the cap as survivors, so a short horizon raises survival at "
-            "every rate; use a longer --horizon"
-        )
-    hi = 2.0 * lb
-    while True:
-        if hi > lambda_max:
+    with pool_scope():
+        lo = lb
+        p_lo = probe(lo, "bracket-low", bracket_replicas)
+        if p_lo >= eps:
             raise BracketError(
-                f"no rate with survival above eps={eps} found up to lambda_max={lambda_max:.6f}"
+                f"survival {p_lo:.4f} >= eps {eps} already at the lower bound {lb:.6f}; "
+                "no bracket below it exists.  The alive-at-horizon proxy "
+                f"({proxy.describe()}) counts replicas still active at the horizon "
+                "or at the cap as survivors, so a short horizon raises survival at "
+                "every rate; use a longer --horizon"
             )
-        p_hi = probe(hi, "bracket-high", bracket_replicas)
-        if p_hi >= eps:
-            break
-        hi *= 2.0
+        hi = 2.0 * lb
+        while True:
+            if hi > lambda_max:
+                raise BracketError(
+                    f"no rate with survival above eps={eps} found up to lambda_max={lambda_max:.6f}"
+                )
+            p_hi = probe(hi, "bracket-high", bracket_replicas)
+            if p_hi >= eps:
+                break
+            hi *= 2.0
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        p_mid = probe(mid, "bisect", probe_replicas)
-        if p_mid >= eps:
-            hi = mid
-        else:
-            lo = mid
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            p_mid = probe(mid, "bisect", probe_replicas)
+            if p_mid >= eps:
+                hi = mid
+            else:
+                lo = mid
 
     lambda_hat = 0.5 * (lo + hi)
     return CriticalEstimate(

@@ -3,11 +3,43 @@
 Replica results are deterministic functions of (seed, replica index), so
 chunked parallel execution returns the same numbers as a serial run; the
 chunks are merged in submission order to keep reductions reproducible.
+
+Outside a scope, each multi-chunk map forks a pool of its own and closes
+it on return.  Inside ``pool_scope()`` every multi-chunk map shares one
+pool, created by the first such map with that map's worker count, and
+hands it one chunk at a time (``chunksize=1``), so a chunk of survivors
+that run to the cap does not hold up a worker that could take the next
+chunk.  Leaving the scope, normally or by an exception, terminates and
+joins that pool, so no worker outlives the scope.
 """
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
+
+_scoped = False  # inside pool_scope()
+_pool = None  # the scope's pool, once a map has needed it
+
+
+@contextmanager
+def pool_scope() -> Iterator[None]:
+    """Share one lazily created pool among the maps inside the block.
+
+    A nested scope joins the enclosing one.
+    """
+    global _scoped, _pool
+    if _scoped:
+        yield
+        return
+    _scoped = True
+    try:
+        yield
+    finally:
+        pool, _pool, _scoped = _pool, None, False
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
@@ -15,12 +47,18 @@ def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
 
     fn must be a picklable top-level function when workers > 1.
     """
+    global _pool
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    if _scoped:
+        if _pool is None:
+            _pool = multiprocessing.Pool(workers)
+        return _pool.map(fn, chunks, chunksize=1)
     with multiprocessing.Pool(min(workers, len(chunks))) as pool:
         return pool.map(fn, chunks)
 
 
-def index_chunks(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split range(total) into [lo, hi) index pairs."""
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+def index_chunks(total: int, chunk_size: int, start: int = 0) -> list[tuple[int, int]]:
+    """Split range(start, start + total) into [lo, hi) index pairs."""
+    end = start + total
+    return [(lo, min(lo + chunk_size, end)) for lo in range(start, end, chunk_size)]

@@ -329,6 +329,14 @@ def test_ode_bad_time_writes_nothing_to_stdout():
     assert proc.stdout == ""
 
 
+def test_failed_sweep_writes_nothing_to_stdout():
+    proc = cli_process(
+        ["sweep", "--d", "1", "--lambdas", "1", "--horizon", "nan", "--replicas", "3"], "-"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "# tool=" not in proc.stdout
+
+
 @pytest.mark.parametrize("replicas", ["0", "-3"])
 def test_oracle_check_needs_a_replica(tmp_path, replicas):
     proc = cli_process(["oracle-check", "--replicas", replicas], tmp_path / "oracle.csv")

@@ -1,17 +1,21 @@
 import math
+import multiprocessing
 
 import pytest
 
 from twostage.critical import (
     ProxySettings,
+    binomial_tails,
     bisect_critical,
     estimate_survival,
     occupation_fractions,
+    run_replicas,
+    stage_bounds,
     trend_study,
     wilson_interval,
 )
 from twostage.errors import BracketError, ParameterError
-from twostage.lattice import LatticeGeometry, Torus
+from twostage.lattice import Box, LatticeGeometry, Torus
 from twostage.meanfield import lower_bound_lambda
 from twostage.params import ProcessParams
 
@@ -152,3 +156,78 @@ def test_occupation_fractions_sum_to_one():
     fractions = occupation_fractions("contact", p, g, t=3.0, replicas=200, seed=9)
     assert sum(fractions.values()) == pytest.approx(1.0)
     assert all(0.0 <= v <= 1.0 for v in fractions.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_replicas_start_reads_the_same_streams(workers):
+    p = ProcessParams(lam=1.2, gamma=1.0, delta=1.0)
+    args = ("contact", 2, p, Box(10), 25.0, 150)
+    full = run_replicas(*args, 100, 21, workers=1)
+    parts = [
+        run_replicas(*args, hi - lo, 21, workers=workers, start=lo)
+        for lo, hi in ((0, 37), (37, 64), (64, 100))
+    ]
+    assert [row for part in parts for row in part] == full
+
+
+def test_stage_bounds():
+    assert stage_bounds(40) == [40]
+    assert stage_bounds(64) == [64]
+    assert stage_bounds(65) == [64, 65]
+    assert stage_bounds(128) == [64, 128]
+    assert stage_bounds(10000) == [64, 128, 256, 512, 1024, 2048, 4096, 8192, 10000]
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 64, 150])
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.3, 0.9])
+def test_binomial_tails_match_exact_sums(n, eps):
+    pmf = [math.comb(n, i) * eps**i * (1 - eps) ** (n - i) for i in range(n + 1)]
+    for k in range(n + 1):
+        lower, upper = binomial_tails(k, n, eps)
+        assert lower == pytest.approx(math.fsum(pmf[: k + 1]), rel=1e-9, abs=0)
+        assert upper == pytest.approx(math.fsum(pmf[k:]), rel=1e-9, abs=0)
+
+
+def test_sequential_probe_stops_at_first_look_when_clearly_supercritical():
+    p = ProcessParams(lam=3.0, gamma=1.0, delta=1.0)
+    est = estimate_survival("contact", 2, p, FAST_PROXY, 600, seed=1, eps=0.02)
+    assert est.trials == 64
+    assert est.p_hat == est.survivals / 64 > 0.02
+    full = estimate_survival("contact", 2, p, FAST_PROXY, 64, seed=1)
+    assert est.survivals == full.survivals
+
+
+@pytest.mark.parametrize("replicas", [40, 64])
+def test_single_look_probe_equals_one_batch(replicas):
+    p = ProcessParams(lam=3.0, gamma=1.0, delta=1.0)
+    staged = estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1, eps=0.02)
+    assert staged == estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1)
+
+
+def test_staged_probe_records_do_not_depend_on_workers():
+    kwargs = dict(tol=0.1, probe_replicas=300, bracket_replicas=600, proxy=FAST_PROXY, seed=4)
+    serial = bisect_critical("contact", 2, 1.0, 1.0, workers=1, **kwargs)
+    pooled = bisect_critical("contact", 2, 1.0, 1.0, workers=2, **kwargs)
+    assert pooled.probes == serial.probes
+    assert pooled.lambda_hat == serial.lambda_hat
+    stops = {pr.stop for pr in serial.probes}
+    assert stops == {"early", "full"}
+    for pr in serial.probes:
+        requested = 300 if pr.phase == "bisect" else 600
+        assert (pr.stop == "early") == (pr.trials < requested)
+        assert pr.trials in stage_bounds(requested)
+
+
+def test_bisect_leaves_no_worker_running():
+    bisect_critical(
+        "contact", 2, 1.0, 1.0,
+        tol=0.2, probe_replicas=100, bracket_replicas=200, proxy=FAST_PROXY, seed=4, workers=2,
+    )
+    assert multiprocessing.active_children() == []
+    with pytest.raises(BracketError):
+        bisect_critical(
+            "contact", 2, 1.0, 1.0,
+            lambda_max=0.8, probe_replicas=50, bracket_replicas=50, proxy=FAST_PROXY, seed=7,
+            workers=2,
+        )
+    assert multiprocessing.active_children() == []
