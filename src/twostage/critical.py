@@ -26,8 +26,13 @@ is ``PROBE_ERROR`` (1e-3) split evenly (Bonferroni) over the probe's
 looks, so whatever the true p, a probe stops early on the wrong side of
 eps with probability at most ``PROBE_ERROR``/2.  A probe that never
 stops early decides by p_hat >= eps on all its replicas, as a one-batch
-probe does, and a probe of at most 64 replicas is a single batch.  The
-recorded ``trials`` is the number of replicas actually run.  Replica i
+probe does, with no error bound beyond the one-batch estimate's: the
+``PROBE_ERROR`` level bounds early stops only.  A probe of at most 64
+replicas is a single batch.  The recorded ``trials`` is the number of
+replicas actually run, and the recorded ``ci_low``/``ci_high`` are the
+plain fixed-n Wilson interval on those replicas; for an early-stopped
+probe the sample size was chosen by the data, so that interval is not
+adjusted for optional stopping and is not a 95% interval.  Replica i
 reads the same stream whatever the stage, so the stages change only how
 many replicas run.
 """

@@ -4,13 +4,13 @@ Replica results are deterministic functions of (seed, replica index), so
 chunked parallel execution returns the same numbers as a serial run; the
 chunks are merged in submission order to keep reductions reproducible.
 
-Outside a scope, each multi-chunk map forks a pool of its own and closes
-it on return.  Inside ``pool_scope()`` every multi-chunk map shares one
-pool, created by the first such map with that map's worker count, and
-hands it one chunk at a time (``chunksize=1``), so a chunk of survivors
-that run to the cap does not hold up a worker that could take the next
-chunk.  Leaving the scope, normally or by an exception, terminates and
-joins that pool, so no worker outlives the scope.
+Every multi-chunk map runs inside a ``pool_scope()`` and shares that
+scope's pool, which the first such map creates with its worker count.
+A map called outside any scope opens a scope of its own, so its pool
+lives for that one map; a caller that maps many batches (a bisection)
+opens one scope around all of them and forks one pool.  Leaving the
+outermost scope, normally or by an exception, terminates and joins the
+pool, so no worker outlives it.
 """
 from __future__ import annotations
 
@@ -50,12 +50,10 @@ def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
     global _pool
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    if _scoped:
+    with pool_scope():
         if _pool is None:
             _pool = multiprocessing.Pool(workers)
-        return _pool.map(fn, chunks, chunksize=1)
-    with multiprocessing.Pool(min(workers, len(chunks))) as pool:
-        return pool.map(fn, chunks)
+        return _pool.map(fn, chunks)
 
 
 def index_chunks(total: int, chunk_size: int, start: int = 0) -> list[tuple[int, int]]:
