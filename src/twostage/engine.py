@@ -16,12 +16,18 @@ per-source rate lam * 2d and rejected when the chosen direction leaves
 the domain or hits a non-susceptible site.  Rejected attempts are null
 transitions, so the scheme is exact in law while keeping every event at
 O(1) amortized cost.  Sites are handled as integer codes internally
-(see lattice.LatticeGeometry); the public API speaks tuples.
+(see lattice.LatticeGeometry); the public API speaks tuples.  The spread
+loop steps from a source code to the proposed neighbour by arithmetic on
+the geometry's per-direction tables (stride, edge digit, step, torus
+wrap), so it builds and keeps no neighbour tuples; the pair loop reads
+whole tuples from ``neighbor_codes`` and its memo.
 
 Draw contract: each event reads one uniform and one exponential from
 rng.EventDraws, so a replica's draws are a fixed function of the stream
 it is handed (the same draws as lockstep fills of rng._DRAW_BUF
-uniforms then as many exponentials).  Where the generator is left
+uniforms then as many exponentials).  The buffers hold the values as
+Python floats, so the loops do plain float arithmetic; each value is
+the generator's double itself.  Where the generator is left
 afterwards is not part of the contract: a replica that stays inside the
 peeked first fill leaves it just past the exponentials it read, not
 past the full fill.  A generator reused for a second call still reads
@@ -96,7 +102,8 @@ class TrajectorySummary:
     ``final`` is the configuration at the stop time and ``snapshots`` the
     configurations at ``simulate``'s sample times.  Both are kept as the
     run's site-code maps and decoded on first access, so a caller that
-    reads only the scalars never decodes a site.
+    reads only the scalars never decodes a site; ``site_states`` reads
+    one site from the maps without decoding any.
     """
 
     extinction_time: Optional[float]  # None when the survival proxy fired
@@ -121,6 +128,12 @@ class TrajectorySummary:
     def snapshots(self) -> list[SparseConfig]:
         """One configuration per sample time, stamped with that time."""
         return [self._decode(codes, at) for codes, at in self._samples]
+
+    def site_states(self, x: Site) -> list[int]:
+        """State of site x at each sample time, then at the stop time."""
+        code = self._g.encode(x)
+        maps = [codes for codes, _ in self._samples] + [self._codes]
+        return [codes.get(code, HEALTHY) for codes in maps]
 
 
 def all_full_config(g: LatticeGeometry) -> SparseConfig:
@@ -293,8 +306,12 @@ def simulate(
 
     ever2: Optional[set[int]] = set(twos) if track_ever_fully_infected else None
 
-    nbr_cache = g.neighbor_cache
-    nbr_build = g.neighbor_codes
+    # direction tables: see LatticeGeometry
+    side = g.side
+    stride = g.dir_stride
+    edge = g.dir_edge
+    step = g.dir_step
+    wrap = g.dir_wrap
 
     snaps: list[dict[int, int]] = []
     stop = samples[0] if samples else horizon  # the next sample time, else the horizon
@@ -304,9 +321,10 @@ def simulate(
     survived = False
     extinction_time: Optional[float] = None
 
+    cap = math.inf if active_cap is None else active_cap
     if peak == 0:
         extinction_time = t
-    elif active_cap is not None and peak >= active_cap:
+    elif peak >= cap:
         survived = True
     else:
         draws = EventDraws(rng)
@@ -314,10 +332,12 @@ def simulate(
         e_buf = draws.e
         n_buf = len(u_buf)
         cur = 0
+        n1 = len(ones)
+        n2 = len(twos)
+        full_tot = 1.0 + lam2d  # total outgoing rate of a fully-infected site
         while True:
-            n1 = len(ones)
-            n2 = len(twos)
-            rate = n2 * (1.0 + lam2d) + n1 * semi_tot
+            s1 = n1 * semi_tot
+            rate = n2 * full_tot + s1
             if cur >= n_buf:
                 cur = draws.refill()
                 u_buf = draws.u
@@ -340,30 +360,33 @@ def simulate(
                 i = int(u)
                 if i >= n2:
                     i = n2 - 1
+                n2 -= 1
                 x = twos[i]
-                twos[i] = twos[-1]
+                twos[i] = twos[n2]
                 twos.pop()
                 if sir:
                     states[x] = RECOVERED
                 else:
                     del states[x]
                 events += 1
-                if n2 - 1 + n1 == 0:
+                if n2 + n1 == 0:
                     extinction_time = t
                     break
-            elif u < n2 + n1 * semi_tot:
+            elif u < n2 + s1:
                 v = u - n2
                 i = int(v / semi_tot)
                 if i >= n1:
                     i = n1 - 1
+                n1 -= 1
                 x = ones[i]
-                ones[i] = ones[-1]
+                ones[i] = ones[n1]
                 ones.pop()
                 events += 1
                 if v - i * semi_tot < gamma:
                     # maturation to fully infected
                     states[x] = FULL
                     twos.append(x)
+                    n2 += 1
                     if ever2 is not None:
                         ever2.add(x)
                 else:
@@ -372,28 +395,31 @@ def simulate(
                         states[x] = RECOVERED
                     else:
                         del states[x]
-                    if n1 - 1 + n2 == 0:
+                    if n1 + n2 == 0:
                         extinction_time = t
                         break
             else:
                 # infection attempt: uniform (source, direction) thinning
-                k = int((u - n2 - n1 * semi_tot) / lam)
+                k = int((u - n2 - s1) / lam)
                 if k >= n2 * twod:
                     k = n2 * twod - 1
                 i, direction = divmod(k, twod)
                 x = twos[i]
-                nb = nbr_cache.get(x)
-                if nb is None:
-                    nb = nbr_build(x)
-                y = nb[direction]
-                if y >= 0 and y not in states:
+                if x // stride[direction] % side != edge[direction]:
+                    y = x + step[direction]
+                elif wrap is None:
+                    continue  # the attempt leaves the box
+                else:
+                    y = x + wrap[direction]
+                if y not in states:
                     states[y] = SEMI
                     ones.append(y)
+                    n1 += 1
                     events += 1
-                    active = n1 + 1 + n2
+                    active = n1 + n2
                     if active > peak:
                         peak = active
-                    if active_cap is not None and active >= active_cap:
+                    if active >= cap:
                         survived = True
                         break
 

@@ -12,15 +12,18 @@ Sites are plain tuples of d integers.  Two finite domains are supported:
   needed (moment comparisons from all-occupied initial states).
 
 Besides the tuple-based API the geometry exposes an integer site encoding
-(``encode``/``decode``/``neighbor_codes``) used by the event loops; the
-neighbor-code table is memoized per geometry instance in
-``neighbor_cache``.
+(``encode``/``decode``/``neighbor_codes``) used by the event loops.  The
+spread loop (``engine.simulate``) steps from a code to one neighbour by
+arithmetic on the per-direction tables built with the geometry
+(``dir_stride``, ``dir_edge``, ``dir_step``, ``dir_wrap``).  Only the
+pair loop (``engine.simulate_linear``) reads whole neighbour tuples,
+memoized per geometry in ``neighbor_cache``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import DomainError, ParameterError
 
@@ -73,10 +76,18 @@ class LatticeGeometry:
     """A finite truncation of Z^d with neighbor enumeration.
 
     Attributes:
+        side: sites per axis (2 * radius + 1 on a box).
         neighbor_cache: code -> ``neighbor_codes(code)`` for every code
-            looked up so far.  Event loops read it directly and call
-            ``neighbor_codes`` only on a miss, saving a method call per
-            infection proposal.  Only ``neighbor_codes`` writes to it.
+            looked up so far.  ``engine.simulate_linear`` reads it
+            directly and calls ``neighbor_codes`` only on a miss.  Only
+            ``neighbor_codes`` writes to it.
+        dir_stride, dir_edge, dir_step, dir_wrap: per-direction tables,
+            in ``neighbor_codes``' direction order.  Direction k moves
+            code x along the axis of stride ``dir_stride[k]``: to
+            ``x + dir_step[k]``, unless the axis digit
+            ``x // dir_stride[k] % side`` equals ``dir_edge[k]``; then
+            the step leaves the box (``dir_wrap`` is None) or wraps to
+            ``x + dir_wrap[k]`` on a torus.
     """
 
     def __init__(self, d: int, domain: Domain):
@@ -85,32 +96,41 @@ class LatticeGeometry:
         if isinstance(domain, Box):
             if domain.radius < 0:
                 raise ParameterError(f"box radius must be >= 0, got {domain.radius}")
-            self._side = 2 * domain.radius + 1
+            self.side = 2 * domain.radius + 1
             self._offset = domain.radius
         elif isinstance(domain, Torus):
             if domain.side < 3:
                 raise ParameterError(f"torus side must be >= 3, got {domain.side}")
-            self._side = domain.side
+            self.side = domain.side
             self._offset = 0
         else:
             raise ParameterError(f"unknown domain {domain!r}")
         self.d = d
         self.domain = domain
         self.is_torus = isinstance(domain, Torus)
-        self._strides = [self._side**i for i in range(d)]
+        self._strides = [self.side**i for i in range(d)]
         self.neighbor_cache: dict[int, tuple[int, ...]] = {}
+        span = self.side - 1
+        self.dir_stride = tuple(s for s in self._strides for _ in (0, 1))
+        self.dir_edge = (0, span) * d
+        self.dir_step = tuple(v for s in self._strides for v in (-s, s))
+        self.dir_wrap: Optional[tuple[int, ...]] = (
+            tuple(v for s in self._strides for v in (span * s, -span * s))
+            if self.is_torus
+            else None
+        )
 
     # ------------------------------------------------------------------
     # tuple-based interface
     # ------------------------------------------------------------------
     @property
     def n_sites(self) -> int:
-        return self._side**self.d
+        return self.side**self.d
 
     def contains(self, x: Site) -> bool:
         if len(x) != self.d:
             return False
-        side, off = self._side, self._offset
+        side, off = self.side, self._offset
         return all(0 <= c + off < side for c in x)
 
     def require(self, x: Site) -> None:
@@ -126,7 +146,7 @@ class LatticeGeometry:
         self.require(x)
         out = []
         if self.is_torus:
-            m = self._side
+            m = self.side
             for i in range(self.d):
                 for step in (-1, 1):
                     y = list(x)
@@ -145,7 +165,7 @@ class LatticeGeometry:
 
     def sites(self) -> Iterator[Site]:
         """All sites of the domain in a fixed lexicographic order."""
-        coords = range(-self._offset, self._side - self._offset)
+        coords = range(-self._offset, self.side - self._offset)
         # rightmost coordinate varies fastest
         yield from product(coords, repeat=self.d)
 
@@ -161,7 +181,7 @@ class LatticeGeometry:
         return code
 
     def decode(self, code: int) -> Site:
-        side = self._side
+        side = self.side
         off = self._offset
         out = []
         for _ in range(self.d):
@@ -178,7 +198,7 @@ class LatticeGeometry:
         cached = self.neighbor_cache.get(code)
         if cached is not None:
             return cached
-        side = self._side
+        side = self.side
         out = []
         c = code
         if self.is_torus:

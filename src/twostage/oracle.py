@@ -262,8 +262,8 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
             out = engine.simulate(
                 kind, init, p, ring, times[-1], rng.substream(ring_seed, i), sample_times=times[:-1]
             )
-            for t, cfg in zip(times, [*out.snapshots, out.final]):
-                counts[t][cfg.state(o)] += 1
+            for t, state in zip(times, out.site_states(o)):
+                counts[t][state] += 1
         start = chain.config_index(init)
         zs = [
             abs(counts[t][s] / replicas - prob)

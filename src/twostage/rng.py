@@ -169,8 +169,10 @@ class EventDraws:
     (it sits past the peeked exponentials).  Generators whose jump is not
     counted in 64-bit outputs (MT19937, Philox, ...) peek the full fill.
 
-    The loop reads ``u`` and ``e`` into locals and calls ``refill`` when
-    its index reaches ``len(u)``.
+    ``u`` and ``e`` are lists of Python floats, converted from numpy's
+    arrays at each fill, so the loop does no numpy-scalar arithmetic.  The
+    loop reads them into locals and calls ``refill`` when its index
+    reaches ``len(u)``.
     """
 
     __slots__ = ("_rng", "_replay", "u", "e")
@@ -184,10 +186,10 @@ class EventDraws:
         jumps = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM))
         peek = _PEEK if jumps else _DRAW_BUF
         self._replay = bg.state if peek < _DRAW_BUF else None
-        self.u = rng.random(peek)  # one 64-bit output per double
+        self.u = rng.random(peek).tolist()  # one 64-bit output per double
         if peek < _DRAW_BUF:
             bg.advance(_DRAW_BUF - peek)
-        self.e = rng.standard_exponential(peek)
+        self.e = rng.standard_exponential(peek).tolist()
 
     def refill(self) -> int:
         """Load the next full fill; return the index the loop resumes at."""
@@ -197,8 +199,8 @@ class EventDraws:
             rng.bit_generator.state = self._replay
             self._replay = None
             resume = len(self.u)
-        self.u = rng.random(_DRAW_BUF)
-        self.e = rng.standard_exponential(_DRAW_BUF)
+        self.u = rng.random(_DRAW_BUF).tolist()
+        self.e = rng.standard_exponential(_DRAW_BUF).tolist()
         return resume
 
 

@@ -157,6 +157,21 @@ def test_trend_emits_target_constant(tmp_path):
     assert lines[1].endswith(",3.0")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trend_output_golden(tmp_path, threads):
+    # the box proxy at d = 4, 8 with tiny replica counts; recorded when
+    # the event loop looked neighbours up in a per-geometry memo
+    args = [
+        "trend", "--d-list", "4,8", "--gamma", "1", "--delta", "1", "--eps", "0.05",
+        "--probe-replicas", "20", "--bracket-replicas", "60",
+        "--horizon", "60", "--cap", "800", "--radius", "20", "--seed", "3", "--threads", threads,
+    ]
+    out = run_cli(args, tmp_path, "trend.csv")
+    assert hashlib.sha256(out).hexdigest() == (
+        "e284ec3f4a4369e39d69db4e43706ea5b62a8d64dbdf6882347cc77b4f1f2c4f"
+    )
+
+
 def test_trend_records_effective_proxy_per_dimension(tmp_path):
     # a horizon override keeps each dimension's default cap (2000 at d >= 10)
     args = [

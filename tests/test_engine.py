@@ -228,7 +228,9 @@ def test_all_full_config_covers_domain():
 # draw contract: a replica's draws are a fixed function of its stream
 # ----------------------------------------------------------------------
 # Fingerprints recorded when every replica took two full 8192-draw fills
-# (uniforms, then exponentials) before its first event.  The comment on
+# (uniforms, then exponentials) before its first event; the d = 8 and
+# d = 2 torus rows date from memoized neighbour tuples, before the loop
+# computed neighbours from per-direction strides.  The comment on
 # each row is the number of (uniform, exponential) pairs the replica
 # reads: up to 64 stays inside the peeked first fill, more replays it,
 # more than 8192 crosses a second refill.
@@ -239,6 +241,11 @@ SPREAD_SETUPS = {
     "box2-sir": (2, Box(8), (2.0, 2.0, 0.5), 50.0),
     "box2-long": (2, Box(12), (2.0, 2.0, 0.5), 20.0),
     "box3-sir": (3, Box(7), (1.0, 5.0, 0.1), 100.0),
+    # exits on every axis and a wrap past axis 0
+    "box8": (8, Box(3), (0.6, 1.0, 1.0), 4.0),
+    "box8-sir": (8, Box(1), (0.4, 2.0, 0.5), 50.0),
+    "torus2": (2, Torus(5), (2.0, 1.0, 1.0), 10.0),
+    "torus2-sir": (2, Torus(5), (2.0, 2.0, 0.5), 50.0),
 }
 GOLDEN_SPREAD = [
     # kind, setup, seed, replica, event_count, extinction_time, final digest
@@ -256,6 +263,15 @@ GOLDEN_SPREAD = [
     ("contact", "box2-long", 45, 0, 9523, None, "b2235e38e36638c4"),  # 20796
     ("contact", "box2-long", 45, 3, 7732, None, "785247bd8caceed5"),  # 16550
     ("sir", "box3-sir", 51, 0, 8258, 30.539326553525573, "2b64096c1a2e68c0"),  # 19448
+    ("contact", "box8", 71, 0, 647, None, "f4d809016f157ef9"),  # 728
+    ("contact", "box8", 71, 3, 1510, None, "315b1a262552cd08"),  # 1708
+    ("contact", "box8", 71, 4, 4, 0.5603280941514954, "4f53cda18c2baa0c"),  # 5
+    ("sir", "box8-sir", 72, 0, 4, 0.2008630480497818, "2ade2d542610a0bd"),  # 4
+    ("sir", "box8-sir", 72, 1, 11875, 31.960932776640817, "f353f12ceb1e61a1"),  # 24556
+    ("contact", "torus2", 73, 1, 118, 8.123830736193426, "4f53cda18c2baa0c"),  # 159
+    ("contact", "torus2", 73, 2, 278, None, "745b2da9867e64b7"),  # 521
+    ("sir", "torus2-sir", 74, 0, 51, 5.979060599244783, "ba900288a44b1882"),  # 135
+    ("sir", "torus2-sir", 74, 4, 3, 0.5448345932471994, "1ed2d7c2bc56a2f5"),  # 3
 ]
 LINEAR_SETUPS = {
     # name: (d, domain, initial pair at the origin, sample times)
@@ -407,6 +423,19 @@ def test_snapshots_equal_runs_stopped_at_the_sample_times(kind, d, domain, rates
             died_early += 1
             assert all(snap.states == out.final.states for snap in out.snapshots)
     assert died_early > 0
+
+
+@pytest.mark.parametrize("kind,d,domain,rates,times,horizon,seed", SNAPSHOT_SETUPS)
+def test_site_states_read_the_snapshots_and_the_final_state(
+    kind, d, domain, rates, times, horizon, seed
+):
+    p = ProcessParams(*rates)
+    g = LatticeGeometry(d, domain)
+    sites = [origin(d), *g.neighbors(origin(d))]
+    for i in range(20):
+        out = simulate(kind, _config({origin(d): FULL}), p, g, horizon, substream(seed, i), sample_times=times)
+        for x in sites:
+            assert out.site_states(x) == [cfg.state(x) for cfg in (*out.snapshots, out.final)]
 
 
 def test_snapshots_of_an_empty_start_are_empty():

@@ -114,6 +114,38 @@ def test_encode_decode_roundtrip_and_neighbor_codes():
             assert from_codes == sorted(g.neighbors(x))
 
 
+def _table_step(g, code, k):
+    # the step engine.simulate takes per infection attempt
+    if code // g.dir_stride[k] % g.side != g.dir_edge[k]:
+        return code + g.dir_step[k]
+    return -1 if g.dir_wrap is None else code + g.dir_wrap[k]
+
+
+def _table_matches_tuples(g, codes):
+    for code in codes:
+        want = g.neighbor_codes(code)
+        assert [_table_step(g, code, k) for k in range(2 * g.d)] == list(want), (g, code)
+
+
+def test_direction_tables_give_every_neighbor_code():
+    # every code and direction of the small domains, where each axis has
+    # both edges and the torus wraps past every axis
+    for d in range(1, 5):
+        for radius in range(4):
+            g = LatticeGeometry(d, Box(radius))
+            _table_matches_tuples(g, range(g.n_sites))
+    for d in range(1, 4):
+        for side in range(3, 6):
+            g = LatticeGeometry(d, Torus(side))
+            _table_matches_tuples(g, range(g.n_sites))
+    # sampled codes of the d = 8 box, plus its corners' axis edges
+    g = LatticeGeometry(8, Box(20))
+    rng = substream(43)
+    sampled = [int(c) for c in rng.integers(0, g.n_sites, 2000)]
+    edges = [g.encode(tuple(int(c) for c in rng.choice([-20, 0, 20], 8))) for _ in range(500)]
+    _table_matches_tuples(g, sampled + edges)
+
+
 def test_sites_enumeration_matches_size():
     g = LatticeGeometry(2, Torus(3))
     sites = list(g.sites())
