@@ -20,7 +20,6 @@ from .engine import (
     TrajectorySummary,
     all_full_config,
     all_ones_linear,
-    fully_infected_set,
     project_linear,
     simulate,
     simulate_linear,
@@ -34,7 +33,7 @@ from .errors import (
     ResourceError,
     TwoStageError,
 )
-from .lattice import Box, LatticeGeometry, Site, Torus, l1_norm, neighbors, origin, unit_vector
+from .lattice import Box, LatticeGeometry, Site, Torus, l1_norm, origin
 from .meanfield import (
     eigenvalues,
     is_subcritical,
@@ -68,13 +67,11 @@ __all__ = [
     "all_full_config",
     "all_ones_linear",
     "eigenvalues",
-    "fully_infected_set",
     "is_subcritical",
     "l1_norm",
     "lambda_from_theta",
     "lower_bound_lambda",
     "moment_matrix",
-    "neighbors",
     "origin",
     "project_linear",
     "scaled_limit",
@@ -83,5 +80,4 @@ __all__ = [
     "site_rates_contact",
     "site_rates_sir",
     "solve_moments",
-    "unit_vector",
 ]

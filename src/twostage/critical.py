@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import FULL, SparseConfig, all_full_config, simulate
+from .engine import FULL, SparseConfig, simulate
 from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
@@ -159,11 +159,8 @@ def run_replicas(
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if kind not in ("contact", "sir"):
         raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
-    if workers > 1:
-        # small chunks, so a short probe stage still reaches every worker
-        chunk = max(8, math.ceil(replicas / (4 * workers)))
-    else:
-        chunk = max(64, replicas // 4)
+    # small chunks, so a short probe stage still reaches every worker
+    chunk = max(8, math.ceil(replicas / (4 * workers)))
     chunks = [
         (kind, d, p, domain, horizon, cap, seed, lo, hi)
         for lo, hi in index_chunks(replicas, chunk, start)
@@ -416,32 +413,3 @@ def trend_study(
         )
     return rows
 
-
-def occupation_fractions(
-    kind: str,
-    p: ProcessParams,
-    g: LatticeGeometry,
-    t: float,
-    replicas: int,
-    seed: int,
-) -> dict[int, float]:
-    """Long-run state-occupation diagnostic from the all-infected start.
-
-    Reports the fraction of (site, replica) pairs in each state at time
-    t.  Diagnostic only: no finite-volume protocol for the limiting
-    occupation measure is claimed.
-    """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    init = all_full_config(g)
-    counts: dict[int, int] = {}
-    n_sites = g.n_sites
-    for i in range(replicas):
-        out = simulate(kind, init, p, g, t, substream(seed, i))
-        seen = 0
-        for s in out.final.states.values():
-            counts[s] = counts.get(s, 0) + 1
-            seen += 1
-        counts[0] = counts.get(0, 0) + (n_sites - seen)
-    total = replicas * n_sites
-    return {s: c / total for s, c in sorted(counts.items())}

@@ -16,11 +16,12 @@ per-source rate lam * 2d and rejected when the chosen direction leaves
 the domain or hits a non-susceptible site.  Rejected attempts are null
 transitions, so the scheme is exact in law while keeping every event at
 O(1) amortized cost.  Sites are handled as integer codes internally
-(see lattice.LatticeGeometry); the public API speaks tuples.  The spread
-loop steps from a source code to the proposed neighbour by arithmetic on
-the geometry's per-direction tables (stride, edge digit, step, torus
-wrap), so it builds and keeps no neighbour tuples; the pair loop reads
-whole tuples from ``neighbor_codes`` and its memo.
+(see lattice.LatticeGeometry); the public API speaks tuples.  Both loops
+step between codes by the geometry's per-direction tables (stride, edge
+digit, step, torus wrap): the spread loop steps from a source code to the
+proposed neighbour by their arithmetic, so it builds and keeps no
+neighbour tuples; the pair loop reads whole tuples from
+``neighbor_codes``, which builds them from the same tables.
 
 Draw contract: each event reads one uniform and one exponential from
 rng.EventDraws, so a replica's draws are a fixed function of the stream
@@ -200,11 +201,6 @@ def site_rates_sir(
     if s == RECOVERED:
         return []
     raise ParameterError(f"state {s} is not an SIR state")
-
-
-def fully_infected_set(cfg: SparseConfig) -> set[Site]:
-    """The set of fully-infected (state 2) sites."""
-    return {x for x, s in cfg.states.items() if s == FULL}
 
 
 def project_linear(lc: LinearConfig) -> SparseConfig:
@@ -463,6 +459,8 @@ def simulate_linear(
     if not sample_times:
         raise ParameterError("sample_times must be non-empty")
     times = sorted(float(s) for s in sample_times)
+    if not all(math.isfinite(s) for s in times):
+        raise ParameterError(f"sample times must be finite, got {times}")
     if times[0] < init.time:
         raise ParameterError("sample times must not precede init.time")
 
@@ -474,14 +472,7 @@ def simulate_linear(
             continue
         vals[g.encode(x)] = (int(z), int(th))
 
-    nbr_cache = g.neighbor_cache
-    nbr_build = g.neighbor_codes
-
-    def nbrs(c: int) -> tuple[int, ...]:
-        nb = nbr_cache.get(c)
-        if nb is None:
-            nb = nbr_build(c)
-        return nb
+    nbrs = g.neighbor_codes
 
     # active set: nonzero pair, or some neighbor with zeta > 0
     active: list[int] = []

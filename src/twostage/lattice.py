@@ -13,11 +13,13 @@ Sites are plain tuples of d integers.  Two finite domains are supported:
 
 Besides the tuple-based API the geometry exposes an integer site encoding
 (``encode``/``decode``/``neighbor_codes``) used by the event loops.  The
-spread loop (``engine.simulate``) steps from a code to one neighbour by
-arithmetic on the per-direction tables built with the geometry
-(``dir_stride``, ``dir_edge``, ``dir_step``, ``dir_wrap``).  Only the
-pair loop (``engine.simulate_linear``) reads whole neighbour tuples,
-memoized per geometry in ``neighbor_cache``.
+per-direction tables built with the geometry (``dir_stride``,
+``dir_edge``, ``dir_step``, ``dir_wrap``) are the one neighbour rule on
+codes: the spread loop (``engine.simulate``) steps from a code to one
+neighbour by their arithmetic, and ``neighbor_codes``, which the pair
+loop (``engine.simulate_linear``) reads, builds whole tuples from them.
+``neighbors`` stays coordinate-based, an independent reference for the
+rate tables and the tests.
 """
 from __future__ import annotations
 
@@ -33,13 +35,6 @@ Site = tuple[int, ...]
 def origin(d: int) -> Site:
     """The origin of Z^d."""
     return (0,) * d
-
-
-def unit_vector(d: int, axis: int) -> Site:
-    """Unit vector along a 0-based axis."""
-    if not 0 <= axis < d:
-        raise ParameterError(f"axis {axis} out of range for dimension {d}")
-    return tuple(1 if i == axis else 0 for i in range(d))
 
 
 def l1_norm(x: Site) -> int:
@@ -77,10 +72,6 @@ class LatticeGeometry:
 
     Attributes:
         side: sites per axis (2 * radius + 1 on a box).
-        neighbor_cache: code -> ``neighbor_codes(code)`` for every code
-            looked up so far.  ``engine.simulate_linear`` reads it
-            directly and calls ``neighbor_codes`` only on a miss.  Only
-            ``neighbor_codes`` writes to it.
         dir_stride, dir_edge, dir_step, dir_wrap: per-direction tables,
             in ``neighbor_codes``' direction order.  Direction k moves
             code x along the axis of stride ``dir_stride[k]``: to
@@ -109,7 +100,7 @@ class LatticeGeometry:
         self.domain = domain
         self.is_torus = isinstance(domain, Torus)
         self._strides = [self.side**i for i in range(d)]
-        self.neighbor_cache: dict[int, tuple[int, ...]] = {}
+        self._neighbor_memo: dict[int, tuple[int, ...]] = {}
         span = self.side - 1
         self.dir_stride = tuple(s for s in self._strides for _ in (0, 1))
         self.dir_edge = (0, span) * d
@@ -144,23 +135,16 @@ class LatticeGeometry:
         2d candidates that stay inside the cube.
         """
         self.require(x)
+        side, off = self.side, self._offset
         out = []
-        if self.is_torus:
-            m = self.side
-            for i in range(self.d):
-                for step in (-1, 1):
-                    y = list(x)
-                    y[i] = (y[i] + step) % m
-                    out.append(tuple(y))
-        else:
-            r = self._offset
-            for i in range(self.d):
-                for step in (-1, 1):
-                    c = x[i] + step
-                    if -r <= c <= r:
-                        y = list(x)
-                        y[i] = c
-                        out.append(tuple(y))
+        for i in range(self.d):
+            for step in (-1, 1):
+                c = x[i] + step
+                if self.is_torus:
+                    c %= side
+                elif not 0 <= c + off < side:
+                    continue
+                out.append(x[:i] + (c,) + x[i + 1 :])
         return out
 
     def sites(self) -> Iterator[Site]:
@@ -195,32 +179,18 @@ class LatticeGeometry:
         Direction order is (axis 0 -, axis 0 +, axis 1 -, ...), matching
         ``neighbors`` up to boundary clipping.
         """
-        cached = self.neighbor_cache.get(code)
-        if cached is not None:
-            return cached
-        side = self.side
-        out = []
-        c = code
-        if self.is_torus:
-            for i in range(self.d):
-                c, digit = divmod(c, side)
-                stride = self._strides[i]
-                out.append(code - stride if digit > 0 else code + (side - 1) * stride)
-                out.append(code + stride if digit < side - 1 else code - (side - 1) * stride)
-        else:
-            for i in range(self.d):
-                c, digit = divmod(c, side)
-                stride = self._strides[i]
-                out.append(code - stride if digit > 0 else -1)
-                out.append(code + stride if digit < side - 1 else -1)
-        result = tuple(out)
-        self.neighbor_cache[code] = result
+        result = self._neighbor_memo.get(code)
+        if result is None:
+            side = self.side
+            wraps = self.dir_wrap or (None,) * len(self.dir_step)
+            rows = zip(self.dir_stride, self.dir_edge, self.dir_step, wraps)
+            result = self._neighbor_memo[code] = tuple(
+                code + step if code // stride % side != edge
+                else -1 if wrap is None
+                else code + wrap
+                for stride, edge, step, wrap in rows
+            )
         return result
 
     def __repr__(self) -> str:
         return f"LatticeGeometry(d={self.d}, domain={self.domain!r})"
-
-
-def neighbors(x: Site, g: LatticeGeometry) -> list[Site]:
-    """Neighbors of x in geometry g (see LatticeGeometry.neighbors)."""
-    return g.neighbors(x)

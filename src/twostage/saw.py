@@ -77,11 +77,9 @@ class WalkPath:
 
     @classmethod
     def start(cls, d: int) -> "WalkPath":
-        period = drift_period(d)
-        band = drift_band(d)
-        if 2 * (d - band) - period < 1:
+        if admissible_floor(d) < 1:
             raise ParameterError(f"admissible floor not positive at d={d}")
-        return cls(sites=[origin(d)], d=d, drift_period=period, drift_band=band)
+        return cls(sites=[origin(d)], d=d, drift_period=drift_period(d), drift_band=drift_band(d))
 
     @classmethod
     def from_sites(cls, d: int, sites: Sequence[Site]) -> "WalkPath":
@@ -222,12 +220,6 @@ def sample_walk(d: int, n: int, rng: np.random.Generator) -> WalkPath:
     steps = moves[rng.integers(0, highs) + offsets]
     path.sites.extend(map(tuple, steps.cumsum(axis=0).tolist()))
     return path
-
-
-def drift_weight(x: Site, d: int) -> int:
-    """Sum of |coordinates| over the reserved drift band."""
-    band = drift_band(d)
-    return sum(abs(c) for c in x[d - band :])
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,13 @@ from twostage.critical import (
     binomial_tails,
     bisect_critical,
     estimate_survival,
-    occupation_fractions,
     run_replicas,
     stage_bounds,
     trend_study,
     wilson_interval,
 )
 from twostage.errors import BracketError, ParameterError
-from twostage.lattice import Box, LatticeGeometry, Torus
+from twostage.lattice import Box
 from twostage.meanfield import lower_bound_lambda
 from twostage.params import ProcessParams
 
@@ -148,14 +147,6 @@ def test_trend_small_run_emits_target():
         assert r.target == pytest.approx(3.0)
         assert r.scaled == pytest.approx(2 * r.d * r.lambda_hat)
         assert r.estimate.probes
-
-
-def test_occupation_fractions_sum_to_one():
-    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
-    g = LatticeGeometry(1, Torus(5))
-    fractions = occupation_fractions("contact", p, g, t=3.0, replicas=200, seed=9)
-    assert sum(fractions.values()) == pytest.approx(1.0)
-    assert all(0.0 <= v <= 1.0 for v in fractions.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -12,7 +12,7 @@ from twostage.engine import (
     LinearConfig,
     SparseConfig,
     all_full_config,
-    fully_infected_set,
+    all_ones_linear,
     project_linear,
     simulate,
     simulate_linear,
@@ -67,13 +67,6 @@ def test_sir_rates(torus3):
     assert site_rates_sir(_config({o: SEMI}), o, p, torus3) == [(RECOVERED, 1.5), (FULL, 2.0)]
     assert site_rates_sir(_config({o: RECOVERED}), o, p, torus3) == []
     assert site_rates_sir(_config({}), o, p, torus3) == []
-
-
-def test_fully_infected_set():
-    o = (0, 0)
-    e1 = (1, 0)
-    assert fully_infected_set(_config({})) == set()
-    assert fully_infected_set(_config({o: FULL, e1: SEMI})) == {o}
 
 
 def test_project_linear():
@@ -217,6 +210,16 @@ def test_linear_validations():
         simulate_linear(LinearConfig(values={(0,): (-1, 2)}), p, g, [1.0], substream(0))
 
 
+@pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.5, math.inf], [-math.inf]])
+def test_linear_rejects_non_finite_sample_times(times):
+    # a run that dies out would otherwise stamp its frozen state with nan/inf
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Torus(3))
+    init = LinearConfig.from_sites({(0,): (1, 0)})
+    with pytest.raises(ParameterError, match="finite"):
+        simulate_linear(init, p, g, times, substream(0))
+
+
 def test_all_full_config_covers_domain():
     g = LatticeGeometry(2, Torus(3))
     cfg = all_full_config(g)
@@ -274,9 +277,14 @@ GOLDEN_SPREAD = [
     ("sir", "torus2-sir", 74, 4, 3, 0.5448345932471994, "1ed2d7c2bc56a2f5"),  # 3
 ]
 LINEAR_SETUPS = {
-    # name: (d, domain, initial pair at the origin, sample times)
-    "ring": (1, Torus(3), (5, 0), [0.4]),
-    "box2": (2, Box(4), (1, 0), [0.5, 2.0]),
+    # name: (d, domain, (lam, gamma, delta), initial pair at the origin or
+    # None for (1, 0) at every site, sample times)
+    "ring": (1, Torus(3), (2.0, 1.0, 1.0), (5, 0), [0.4]),
+    "box2": (2, Box(4), (2.0, 1.0, 1.0), (1, 0), [0.5, 2.0]),
+    # the c04/c05 ensemble's shape
+    "torus2-all": (2, Torus(5), (0.25, 1.0, 1.0), None, [1.0]),
+    # reaches the faces, so absorbing exits are drawn
+    "box3": (3, Box(2), (2.0, 1.0, 1.0), (1, 0), [1.0, 3.0]),
 }
 GOLDEN_LINEAR = [
     # setup, seed, replica, digest of each snapshot
@@ -284,6 +292,10 @@ GOLDEN_LINEAR = [
     ("ring", 46, 2, ["23edb2e5504978bc"]),  # 9
     ("box2", 47, 0, ["93eaa84ced492681", "6080f54125e887df"]),  # 165
     ("box2", 47, 2, ["ea3be95ce4b605a1", "4f53cda18c2baa0c"]),  # 74
+    ("torus2-all", 48, 0, ["5f3b52191c2dba46"]),  # 84
+    ("torus2-all", 48, 4, ["51c2ff0791c00c16"]),  # 113
+    ("box3", 49, 0, ["96bc14223c66fccc", "3d1314522233039a"]),  # 627
+    ("box3", 49, 3, ["532e70ad8f71c178", "24485c366759ef0d"]),  # 1907
 ]
 
 
@@ -298,9 +310,10 @@ def _spread(kind, setup, rng):
 
 
 def _linear(setup, rng):
-    d, domain, pair, times = LINEAR_SETUPS[setup]
-    init = LinearConfig.from_sites({origin(d): pair})
-    return simulate_linear(init, ProcessParams(2.0, 1.0, 1.0), LatticeGeometry(d, domain), times, rng)
+    d, domain, rates, pair, times = LINEAR_SETUPS[setup]
+    g = LatticeGeometry(d, domain)
+    init = all_ones_linear(g) if pair is None else LinearConfig.from_sites({origin(d): pair})
+    return simulate_linear(init, ProcessParams(*rates), g, times, rng)
 
 
 def _lockstep_state(seed, replica, fills):

@@ -14,7 +14,6 @@ from twostage.saw import (
     admissible_next,
     drift_band,
     drift_period,
-    drift_weight,
     estimate_survival_lower_bound,
     estimate_union_direct,
     pair_stats,
@@ -124,17 +123,6 @@ def test_drift_steps_uniform_over_band():
     expected = draws / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 16.27  # 99.9% quantile, 3 degrees of freedom
-
-
-def test_drift_weight_increments():
-    path = sample_walk(10, 60, substream(5, 0))
-    for s in range(1, 61):
-        before = drift_weight(path.sites[s - 1], 10)
-        after = drift_weight(path.sites[s], 10)
-        if path.is_drift_step(s):
-            assert after == before + 1
-        else:
-            assert after == before
 
 
 def test_sampled_prefixes_stay_in_class():
