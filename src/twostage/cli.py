@@ -309,12 +309,13 @@ def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     kind = res.get("kind", "contact")
     p = _params(res)
     d = res.required("d")
+    base = critical.ProxySettings.default_for(d)
     if res.get("geometry", "box") == "torus":
         domain = Torus(res.get("side", 5))
     else:
-        domain = Box(res.get("radius", 50))
-    horizon = res.get("horizon", 100.0)
-    cap = res.get("cap", 5000)
+        domain = Box(res.get("radius", base.box_radius))
+    horizon = res.get("horizon", base.horizon)
+    cap = res.get("cap", base.active_cap)
     replicas = res.get("replicas", 1000)
     rows = critical.run_replicas(kind, d, p, domain, horizon, cap, replicas, seed, workers)
     writer.meta(_base_meta("simulate", res))
@@ -377,7 +378,7 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> 
         "resolution",
     )
     rows = [
-        ("probe", pr.phase, pr.lam, pr.trials, pr.survivals, pr.p_hat, pr.ci_low, pr.ci_high, None, None, None)
+        ("probe", pr.phase, pr.params.lam, pr.trials, pr.survivals, pr.p_hat, pr.ci_low, pr.ci_high, None, None, None)
         for pr in est.probes
     ]
     rows.append(

@@ -217,16 +217,10 @@ def estimate_survival(
 
 
 @dataclass
-class ProbeRecord:
-    """One survival probe of the bisection."""
+class ProbeRecord(SurvivalEstimate):
+    """One survival probe of the bisection: its estimate, phase and stop."""
 
-    lam: float
     phase: str  # "bracket-low", "bracket-high" or "bisect"
-    trials: int
-    survivals: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
     stop: str  # "early" (the sequential test settled it) or "full"
 
 
@@ -243,6 +237,7 @@ class CriticalEstimate:
     threshold_eps: float
     resolution: float
     proxy: str
+    target: float  # the limit 1 + (1+delta)/gamma of scaled as d grows
     probes: list[ProbeRecord] = field(default_factory=list)
 
 
@@ -267,10 +262,12 @@ def bisect_critical(
     doubles upward until a probe exceeds eps; bisection then narrows the
     bracket to ``tol`` (default 5% of the lower bound).  Every probe is
     a sequential probe against ``eps`` (see the module docstring) and is
-    recorded.  All probes share one worker pool, which is gone when this
-    returns or raises.  Raises ParameterError unless ``tol`` and
-    ``lambda_max`` are positive and finite, and BracketError when no
-    bracket exists below ``lambda_max`` (default 64x the lower bound).
+    recorded as a ``ProbeRecord``: its ``SurvivalEstimate`` plus the
+    bisection phase and whether it stopped early.  All probes share one
+    worker pool, which is gone when this returns or raises.  Raises
+    ParameterError unless ``tol`` and ``lambda_max`` are positive and
+    finite, and BracketError when no bracket exists below ``lambda_max``
+    (default 64x the lower bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -302,18 +299,8 @@ def bisect_critical(
         est = estimate_survival(
             kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
         )
-        probes.append(
-            ProbeRecord(
-                lam=lam,
-                phase=phase,
-                trials=est.trials,
-                survivals=est.survivals,
-                p_hat=est.p_hat,
-                ci_low=est.ci_low,
-                ci_high=est.ci_high,
-                stop="early" if est.trials < replicas else "full",
-            )
-        )
+        stop = "early" if est.trials < replicas else "full"
+        probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
         return est.p_hat
 
     with pool_scope():
@@ -357,19 +344,9 @@ def bisect_critical(
         threshold_eps=eps,
         resolution=tol,
         proxy=proxy.describe(),
+        target=scaled_limit(gamma, delta),
         probes=probes,
     )
-
-
-@dataclass
-class TrendRow:
-    """One dimension of the scaled-threshold trend."""
-
-    d: int
-    lambda_hat: float
-    scaled: float
-    target: float
-    estimate: CriticalEstimate
 
 
 def trend_study(
@@ -384,19 +361,18 @@ def trend_study(
     proxy: Optional[dict[int, ProxySettings]] = None,
     seed: int = 0,
     workers: int = 1,
-) -> list[TrendRow]:
+) -> list[CriticalEstimate]:
     """Scaled critical-rate sequence 2d*lambda_hat across dimensions.
 
-    Emits the dimension-free target constant 1 + (1+delta)/gamma with the
-    data.  d_list must be ascending.  ``proxy`` maps each dimension to its
-    setting; None uses ``ProxySettings.default_for(d)`` throughout.
+    One ``bisect_critical`` estimate per dimension, each carrying the
+    dimension-free target constant 1 + (1+delta)/gamma.  d_list must be
+    ascending.  ``proxy`` maps each dimension to its setting; None uses
+    ``ProxySettings.default_for(d)`` throughout.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
-    target = scaled_limit(gamma, delta)
-    rows = []
-    for d in d_list:
-        est = bisect_critical(
+    return [
+        bisect_critical(
             kind,
             d,
             gamma,
@@ -408,8 +384,5 @@ def trend_study(
             seed=mix_seed(seed, d),
             workers=workers,
         )
-        rows.append(
-            TrendRow(d=d, lambda_hat=est.lambda_hat, scaled=est.scaled, target=target, estimate=est)
-        )
-    return rows
-
+        for d in d_list
+    ]

@@ -108,7 +108,6 @@ class TrajectorySummary:
     """
 
     extinction_time: Optional[float]  # None when the survival proxy fired
-    survived: bool
     peak_active: int
     event_count: int
     ever_fully_infected: Optional[set[Site]]
@@ -120,6 +119,11 @@ class TrajectorySummary:
     def _decode(self, codes: dict[int, int], time: float) -> SparseConfig:
         decode = self._g.decode
         return SparseConfig(states={decode(c): s for c, s in codes.items()}, time=time)
+
+    @property
+    def survived(self) -> bool:
+        """Whether the run stopped at the horizon or the cap, not by extinction."""
+        return self.extinction_time is None
 
     @functools.cached_property
     def final(self) -> SparseConfig:
@@ -241,7 +245,7 @@ def simulate(
 
     Args:
         kind: "contact" or "sir".
-        init: initial configuration (finite support, time usually 0).
+        init: initial configuration (finite support and time, usually 0).
         horizon: absolute stop time, > init.time.
         rng: replica-local generator.
         active_cap: survival cap on |state 1| + |state 2|, or None.
@@ -260,6 +264,8 @@ def simulate(
     if kind not in ("contact", "sir"):
         raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
     sir = kind == "sir"
+    if not math.isfinite(init.time):
+        raise ParameterError(f"init.time must be finite, got {init.time}")
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= init.time:
         raise ParameterError(f"horizon must be finite and exceed init.time, got {horizon}")
     if active_cap is not None and active_cap < 1:
@@ -314,15 +320,12 @@ def simulate(
     t = init.time
     peak = len(ones) + len(twos)
     events = 0
-    survived = False
     extinction_time: Optional[float] = None
 
     cap = math.inf if active_cap is None else active_cap
     if peak == 0:
         extinction_time = t
-    elif peak >= cap:
-        survived = True
-    else:
+    elif peak < cap:
         draws = EventDraws(rng)
         u_buf = draws.u
         e_buf = draws.e
@@ -343,7 +346,6 @@ def simulate(
             if t_next >= stop:
                 if t_next >= horizon:
                     t = horizon
-                    survived = True
                     break
                 while t_next >= stop:  # stop < horizon: a sample time
                     snaps.append(dict(states))
@@ -416,7 +418,6 @@ def simulate(
                     if active > peak:
                         peak = active
                     if active >= cap:
-                        survived = True
                         break
 
     # sample times after the stop see the final configuration
@@ -424,13 +425,12 @@ def simulate(
     ever_sites = {g.decode(c) for c in ever2} if ever2 is not None else None
     return TrajectorySummary(
         extinction_time=extinction_time,
-        survived=survived,
         peak_active=peak,
         event_count=events,
         ever_fully_infected=ever_sites,
         _g=g,
         _codes=states,
-        _stop_time=t if extinction_time is None else extinction_time,
+        _stop_time=t,
         _samples=list(zip(snaps, samples)),
     )
 
@@ -458,6 +458,8 @@ def simulate_linear(
     """
     if not sample_times:
         raise ParameterError("sample_times must be non-empty")
+    if not math.isfinite(init.time):
+        raise ParameterError(f"init.time must be finite, got {init.time}")
     times = sorted(float(s) for s in sample_times)
     if not all(math.isfinite(s) for s in times):
         raise ParameterError(f"sample times must be finite, got {times}")

@@ -114,8 +114,8 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
 
 def transient(chain: ExactChain, init_index: int, t: float) -> np.ndarray:
     """Distribution at time t from a point mass, by uniformization."""
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"time must be finite and >= 0, got {t}")
     n = chain.generator.shape[0]
     if not 0 <= init_index < n:
         raise ParameterError(f"init_index {init_index} outside [0, {n})")

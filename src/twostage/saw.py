@@ -31,6 +31,8 @@ control the second-moment weight
 whose inverse expectation lower-bounds the probability that some walk of
 the class carries a full infection chain -- and hence lower-bounds
 survival of the SIR model started from one fully-infected origin.
+K is a subset of F, since a matching edge starts at a site of S, so
+|F\\K| = |F| - |K|.
 """
 from __future__ import annotations
 
@@ -224,44 +226,62 @@ def sample_walk(d: int, n: int, rng: np.random.Generator) -> WalkPath:
 
 @dataclass(frozen=True)
 class PairStats:
-    """Collision statistics of an ordered walk pair."""
+    """Collision counts |F| and |K| of an ordered walk pair at one length."""
 
     f_size: int
     k_size: int
-    f_minus_k: int
 
 
-def pair_stats(s_walk: WalkPath, v_walk: WalkPath, n: int) -> PairStats:
-    """Site- and edge-collision counts of two walks up to length n.
+def pair_stats(s_walk: WalkPath, v_walk: WalkPath, lengths: Sequence[int]) -> list[PairStats]:
+    """Site- and edge-collision counts of two walks at each length in ``lengths``.
 
-    F collects indices i <= n with V_i among S's first n+1 sites; K
-    collects indices i <= n-1 whose edge (V_i, V_{i+1}) appears among
-    S's first n edges.  Index 0 is always in F (shared origin).
+    At length n, F collects indices i <= n with V_i among S's first n+1
+    sites, and K collects indices i <= n-1 whose edge (V_i, V_{i+1})
+    appears among S's first n edges.  Index 0 is always in F (shared
+    origin).  One scan of the longest prefix serves every length: index
+    i joins F at n = max(i, j) for the first j with S_j = V_i, and joins
+    K at n = max(i, j) + 1 for the first j with
+    (S_j, S_{j+1}) = (V_i, V_{i+1}).
+
+    K is a subset of F at every n: if i is in K, some j <= n-1 has
+    (S_j, S_{j+1}) = (V_i, V_{i+1}), so V_i = S_j is among S's first n+1
+    sites and i <= n-1 < n, which puts i in F.
     """
     if s_walk.d != v_walk.d:
         raise ParameterError(f"walks must share a dimension, got d={s_walk.d} and d={v_walk.d}")
+    n = max(lengths)
     s_sites = s_walk.sites
     v_sites = v_walk.sites
     if len(s_sites) < n + 1 or len(v_sites) < n + 1:
         raise ParameterError(f"both walks must have length >= {n}")
-    s_set = set(s_sites[: n + 1])
-    s_edges = set(zip(s_sites[:n], s_sites[1 : n + 1]))
-    f_idx = [i for i in range(n + 1) if v_sites[i] in s_set]
-    k_idx = {i for i in range(n) if (v_sites[i], v_sites[i + 1]) in s_edges}
-    f_minus_k = sum(1 for i in f_idx if i not in k_idx)
-    return PairStats(f_size=len(f_idx), k_size=len(k_idx), f_minus_k=f_minus_k)
+    # descending j, so each site or edge keeps its first index
+    site_at = {s_sites[j]: j for j in range(n, -1, -1)}
+    edge_at = {(s_sites[j], s_sites[j + 1]): j for j in range(n - 1, -1, -1)}
+    f_at = []  # the length at which each index of F joins it
+    k_at = []
+    for i in range(n + 1):
+        j = site_at.get(v_sites[i])
+        if j is None:
+            continue  # an edge match would need V_i among S's sites
+        f_at.append(max(i, j))
+        if i < n:
+            j = edge_at.get((v_sites[i], v_sites[i + 1]))
+            if j is not None:
+                k_at.append(max(i, j) + 1)
+    return [PairStats(sum(a <= m for a in f_at), sum(a <= m for a in k_at)) for m in lengths]
 
 
 def pair_weight(stats: PairStats, p: ProcessParams) -> float:
     """Second-moment weight of a walk pair.
 
-    2^(F\\K) * ((1+gamma+delta)/gamma)^(F-1) * ((lam+1)/lam)^K; returns
-    inf on float overflow (flagged downstream as a heavy tail).
+    2^(F\\K) * ((1+gamma+delta)/gamma)^(F-1) * ((lam+1)/lam)^K, with
+    |F\\K| = |F| - |K| since K is a subset of F; returns inf on float
+    overflow (flagged downstream as a heavy tail).
     """
     if stats.f_size < 1:
         raise ParameterError("F must contain the shared origin; got f_size=0")
     log_w = (
-        stats.f_minus_k * math.log(2.0)
+        (stats.f_size - stats.k_size) * math.log(2.0)
         + (stats.f_size - 1) * math.log((1.0 + p.gamma + p.delta) / p.gamma)
         + stats.k_size * math.log((p.lam + 1.0) / p.lam)
     )
@@ -293,7 +313,8 @@ def estimate_survival_lower_bound(
 
     The limit object lives at infinite walk length; the estimate is taken
     at n_max with a three-point convergence diagnostic at n_max/4,
-    n_max/2 and n_max so the truncation error stays visible.  The
+    n_max/2 and n_max so the truncation error stays visible; one
+    ``pair_stats`` call per replica gives all three.  The
     heavy_tail flag fires when the top 1% of sampled weights carries more
     than half of the total mass, signalling an unreliable mean.
 
@@ -310,11 +331,10 @@ def estimate_survival_lower_bound(
         rng = substream(seed, r)
         s_walk = sample_walk(d, n_max, rng)
         v_walk = sample_walk(d, n_max, rng)
-        for n in checkpoints:
-            w = pair_weight(pair_stats(s_walk, v_walk, n), p)
+        weights = [pair_weight(st, p) for st in pair_stats(s_walk, v_walk, checkpoints)]
+        for n, w in zip(checkpoints, weights):
             sums[n] += w
-            if n == n_max:
-                weights_at_max[r] = w
+        weights_at_max[r] = weights[-1]
     mean = float(np.mean(weights_at_max))
     se = float(np.std(weights_at_max, ddof=1) / math.sqrt(replicas))
     top = max(1, replicas // 100)

@@ -400,7 +400,7 @@ def test_c11_scaled_threshold_trend():
             ok = False
         details.append(f"d={r.d}: 2d*lam={r.scaled:.3f}")
     for a, b in zip(rows, rows[1:]):
-        slack = 2 * a.d * a.estimate.resolution + 2 * b.d * b.estimate.resolution + 0.1
+        slack = 2 * a.d * a.resolution + 2 * b.d * b.resolution + 0.1
         if b.scaled > a.scaled + slack:
             ok = False
     report(11, "scaled-threshold-trend", ok, "; ".join(details) + "; target 3.0")

@@ -50,6 +50,18 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert len([l for l in text.splitlines() if not l.startswith("#")]) == 41
 
 
+def test_simulate_takes_the_proxy_defaults_of_its_dimension(tmp_path):
+    # the same horizon, cap and radius defaults as sweep, bisect and trend
+    base = ["simulate", "--d", "10", "--lambda", "0.01", "--replicas", "2", "--seed", "1"]
+    out = run_cli(base, tmp_path, "box.csv").decode()
+    meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+    assert (meta["horizon"], meta["cap"], meta["radius"]) == ("100.0", "2000", "50")
+    out = run_cli([*base, "--geometry", "torus", "--side", "3"], tmp_path, "torus.csv").decode()
+    meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("# "))
+    assert (meta["horizon"], meta["cap"]) == ("100.0", "2000")
+    assert "radius" not in meta
+
+
 def test_validation_error_exit_code(tmp_path):
     run_cli(
         ["simulate", "--kind", "contact", "--d", "2", "--lambda", "-1", "--replicas", "5"],

@@ -70,7 +70,7 @@ def test_bisect_reproducible_and_above_lower_bound():
         tol=0.05, probe_replicas=300, bracket_replicas=600, proxy=FAST_PROXY, seed=4,
     )
     assert est1.lambda_hat == est2.lambda_hat
-    assert [p.lam for p in est1.probes] == [p.lam for p in est2.probes]
+    assert [p.params.lam for p in est1.probes] == [p.params.lam for p in est2.probes]
     assert est1.lambda_hat >= lower_bound_lambda(2, 1.0, 1.0) - est1.resolution
     assert est1.scaled == pytest.approx(4 * est1.lambda_hat)
     phases = {p.phase for p in est1.probes}
@@ -146,7 +146,7 @@ def test_trend_small_run_emits_target():
     for r in rows:
         assert r.target == pytest.approx(3.0)
         assert r.scaled == pytest.approx(2 * r.d * r.lambda_hat)
-        assert r.estimate.probes
+        assert r.probes
 
 
 @pytest.mark.parametrize("workers", [1, 2])

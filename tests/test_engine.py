@@ -129,6 +129,46 @@ def test_active_cap_reports_survival():
     assert out.peak_active >= 50
 
 
+def test_every_stop_path_derives_survived_from_extinction_time():
+    p = ProcessParams(lam=5.0, gamma=5.0, delta=0.1)
+    dying = ProcessParams(lam=1e-12, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(2, Box(20))
+    o = (0, 0)
+    pair = {o: FULL, (1, 0): SEMI}
+    runs = {
+        "empty": simulate("contact", SparseConfig(time=1.5), p, g, 10.0, substream(14, 0)),
+        "start-at-cap": simulate(
+            "contact", _config(pair), p, g, 10.0, substream(14, 1), active_cap=2
+        ),
+        "horizon": simulate("contact", _config(pair), p, g, 0.5, substream(14, 2)),
+        "cap": simulate("contact", _config(pair), p, g, 1000.0, substream(14, 3), active_cap=50),
+        "extinction": simulate("contact", _config({o: FULL}), dying, g, 1000.0, substream(14, 4)),
+    }
+    for name, out in runs.items():
+        assert out.survived == (out.extinction_time is None), name
+    empty, at_cap, horizon, cap, extinct = runs.values()
+    assert empty.extinction_time == empty.final.time == 1.5
+    assert at_cap.survived and at_cap.final.time == 0.0 and at_cap.event_count == 0
+    assert at_cap.final.states == pair
+    assert horizon.survived and horizon.final.time == 0.5 and horizon.event_count > 0
+    assert cap.survived and 0.0 < cap.final.time < 1000.0
+    assert cap.peak_active == len(cap.final.states) == 50
+    assert not extinct.survived and extinct.final.states == {}
+    assert 0.0 < extinct.extinction_time == extinct.final.time < 1000.0
+
+
+@pytest.mark.parametrize("time", [math.nan, -math.inf])
+def test_non_finite_init_time_is_rejected(time):
+    # a nan start would ignore the horizon, and a linear run would
+    # stamp a state from after extinction with a sample time
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Box(2))
+    with pytest.raises(ParameterError, match="init.time"):
+        simulate("contact", SparseConfig({(0,): FULL}, time), p, g, 10.0, substream(0))
+    with pytest.raises(ParameterError, match="init.time"):
+        simulate_linear(LinearConfig({(0,): (1, 0)}, time), p, g, [1.0], substream(0))
+
+
 def test_simulate_validations():
     p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
     g = LatticeGeometry(1, Box(2))

@@ -116,8 +116,9 @@ def test_single_site_sir_semi_start_vs_monte_carlo():
 def test_transient_validations():
     g = LatticeGeometry(1, Box(0))
     chain = build_exact("contact", g, P)
-    with pytest.raises(ParameterError):
-        transient(chain, 0, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="time must be finite"):
+            transient(chain, 0, t)
     with pytest.raises(ParameterError):
         transient(chain, 99, 1.0)
     with pytest.raises(ParameterError):

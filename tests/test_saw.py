@@ -157,16 +157,15 @@ def test_validator_step_classes():
 
 def test_pair_stats_identical_paths():
     path = sample_walk(10, 15, substream(7, 0))
-    st = pair_stats(path, path, 15)
-    assert st == PairStats(f_size=16, k_size=15, f_minus_k=1)
+    want = [PairStats(f_size=n + 1, k_size=n) for n in (3, 8, 15)]
+    assert pair_stats(path, path, [3, 8, 15]) == want
 
 
 def test_pair_stats_origin_only():
     d = 10
     a = WalkPath.from_sites(d, [(0,) * d, tuple(1 if i == 0 else 0 for i in range(d))])
     b = WalkPath.from_sites(d, [(0,) * d, tuple(1 if i == 1 else 0 for i in range(d))])
-    st = pair_stats(a, b, 1)
-    assert st == PairStats(f_size=1, k_size=0, f_minus_k=1)
+    assert pair_stats(a, b, [1]) == [PairStats(f_size=1, k_size=0)]
 
 
 def _brute_pair_stats(s_sites, v_sites, n):
@@ -184,7 +183,8 @@ def _brute_pair_stats(s_sites, v_sites, n):
                 fmk += 1
         if in_k:
             k += 1
-    return PairStats(f_size=f, k_size=k, f_minus_k=fmk)
+    assert fmk == f - k  # K is a subset of F
+    return PairStats(f_size=f, k_size=k)
 
 
 def test_pair_stats_matches_quadratic_brute_force():
@@ -192,40 +192,67 @@ def test_pair_stats_matches_quadratic_brute_force():
         rng = substream(8, i)
         a = sample_walk(10, 200, rng)
         b = sample_walk(10, 200, rng)
-        for n in (7, 60, 200):
-            assert pair_stats(a, b, n) == _brute_pair_stats(a.sites, b.sites, n)
+        lengths = [7, 60, 200]
+        want = [_brute_pair_stats(a.sites, b.sites, n) for n in lengths]
+        assert pair_stats(a, b, lengths) == want
+
+
+def test_pair_stats_index_joins_at_its_first_match():
+    d = 10
+    lengths = [1, 2, 3, 4]
+
+    def site(*axes):
+        return tuple(1 if k in axes else 0 for k in range(d))
+
+    def check(s_sites, v_sites, want):
+        s, v = WalkPath.from_sites(d, s_sites), WalkPath.from_sites(d, v_sites)
+        assert pair_stats(s, v, lengths) == want
+        assert [_brute_pair_stats(s_sites, v_sites, n) for n in lengths] == want
+
+    # V_1 = S_3 and V_2 = S_4, and V's step 1 -> 2 runs along S's edge 3 -> 4
+    check(
+        [site(), site(0), site(0, 1), site(1), site(1, 2)],
+        [site(), site(1), site(1, 2), site(1, 2, 3), site(1, 2, 3, 4)],
+        [PairStats(1, 0), PairStats(1, 0), PairStats(2, 0), PairStats(3, 1)],
+    )
+    # an explicit S may revisit a site and an edge; the first visit counts
+    check(
+        [site(), site(0), site(), site(0), site(0, 1)],
+        [site(), site(0), site(0, 2), site(0, 2, 3), site(0, 2, 3, 4)],
+        [PairStats(2, 1)] * 4,
+    )
 
 
 def test_pair_stats_length_precondition():
     a = sample_walk(10, 5, substream(9, 0))
     with pytest.raises(ParameterError):
-        pair_stats(a, a, 6)
+        pair_stats(a, a, [6])
 
 
 def test_pair_stats_rejects_mixed_dimensions():
     a = sample_walk(10, 5, substream(9, 1))
     b = sample_walk(12, 5, substream(9, 2))
     with pytest.raises(ParameterError, match="share a dimension"):
-        pair_stats(a, b, 5)
+        pair_stats(a, b, [5])
 
 
 def test_pair_weight_examples():
     p1 = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
-    assert pair_weight(PairStats(1, 0, 1), p1) == pytest.approx(2.0)
+    assert pair_weight(PairStats(1, 0), p1) == pytest.approx(2.0)
     n = 9
-    ident = pair_weight(PairStats(n + 1, n, 1), p1)
+    ident = pair_weight(PairStats(n + 1, n), p1)
     assert ident == pytest.approx(2.0 * 3.0**n * 2.0**n, rel=1e-12)
     for i in range(40):
         a = sample_walk(8, 30, substream(11, i))
         b = sample_walk(8, 30, substream(12, i))
-        assert pair_weight(pair_stats(a, b, 30), p1) >= 1.0
+        assert pair_weight(pair_stats(a, b, [30])[0], p1) >= 1.0
     with pytest.raises(ParameterError):
-        pair_weight(PairStats(0, 0, 0), p1)
+        pair_weight(PairStats(0, 0), p1)
 
 
 def test_pair_weight_overflow_goes_to_inf():
     p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
-    assert pair_weight(PairStats(100000, 99999, 1), p) == math.inf
+    assert pair_weight(PairStats(100000, 99999), p) == math.inf
 
 
 def test_union_lower_bound_single_event_equality():
