@@ -15,32 +15,40 @@ the crossing of the survival curve with a small level ``eps`` (default
 gets its own derived seed so the answer does not depend on probe order
 or worker count.
 
-A bisection probe is sequential.  It runs replica-index stages [0, 64),
-[64, 128), [128, 256), ... and finishes with the rest of its replicas.
-After each stage but the last it stops once an exact binomial test puts
-the survival probability p clearly on one side of eps: with k survivors
-in n replicas, P(X >= k) < alpha/2 or P(X <= k) < alpha/2 for
+A bisection probe decides one bit, p >= eps or not, by a stage rule on
+replica-index looks at 64, 128, 256, ... replicas and then at all of
+them.  At each look but the last the rule stops once an exact binomial
+test puts the survival probability p clearly on one side of eps: with k
+survivors in n replicas, P(X >= k) < alpha/2 or P(X <= k) < alpha/2 for
 X ~ Binomial(n, eps), i.e. the exact (Clopper-Pearson) interval at level
-alpha excludes eps, and then p_hat lies on the same side of eps.  alpha
-is ``PROBE_ERROR`` (1e-3) split evenly (Bonferroni) over the probe's
-looks, so whatever the true p, a probe stops early on the wrong side of
-eps with probability at most ``PROBE_ERROR``/2.  A probe that never
-stops early decides by p_hat >= eps on all its replicas, as a one-batch
-probe does, with no error bound beyond the one-batch estimate's: the
-``PROBE_ERROR`` level bounds early stops only.  A probe of at most 64
-replicas is a single batch.  The recorded ``trials`` is the number of
-replicas actually run, and the recorded ``ci_low``/``ci_high`` are the
-plain fixed-n Wilson interval on those replicas; for an early-stopped
-probe the sample size was chosen by the data, so that interval is not
-adjusted for optional stopping and is not a 95% interval.  Replica i
-reads the same stream whatever the stage, so the stages change only how
-many replicas run.
+alpha excludes eps.  alpha is ``PROBE_ERROR`` (1e-3) split evenly
+(Bonferroni) over the probe's looks, so whatever the true p, the rule
+stops early on the wrong side of eps with probability at most
+``PROBE_ERROR``/2.  At the last look it decides by p_hat >= eps on all
+its replicas, as a one-batch estimate does, with no error bound beyond
+that estimate's: the ``PROBE_ERROR`` level bounds early stops only.
+
+The rule's decision is monotone in the replica outcomes, so a prefix of
+replicas [0, m) fixes it once completing the prefix with all deaths and
+with all survivals gives the same decision.  A probe runs replicas in
+index order and stops at the shortest such prefix (curtailment): it
+reaches the decision the rule would reach on all the replicas without
+running the rest.  The recorded ``trials`` is m, ``survivals`` and
+``p_hat`` count that prefix, and p_hat >= eps exactly when the decision
+is yes.  Replica i reads the same stream whatever else runs, so the
+prefix, and the record, depend only on (seed, rate), not on the worker
+count.  The recorded ``ci_low``/``ci_high`` are the plain fixed-n Wilson
+interval on the prefix; its length was chosen by the data, so that
+interval is not adjusted for the curtailment and is not a 95% interval.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from itertools import repeat
+from typing import Iterable, Optional
 
 from .engine import FULL, SparseConfig, simulate
 from .errors import BracketError, ParameterError
@@ -51,8 +59,8 @@ from .parallel import chunked_map, index_chunks, pool_scope
 from .rng import float_key, mix_seed, substream
 
 DEFAULT_EPS = 0.02
-PROBE_ERROR = 1e-3  # total error of a sequential probe's early stops
-FIRST_STAGE = 64  # replicas before a sequential probe's first look
+PROBE_ERROR = 1e-3  # total error of a probe rule's early stops
+FIRST_STAGE = 64  # replicas at a probe rule's first look
 
 
 @dataclass(frozen=True)
@@ -86,17 +94,22 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
-    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p) with 0 < p < 1.
+def _binomial_pmf(n: int, p: float) -> list[float]:
+    """The terms P(X = 0), ..., P(X = n) for X ~ Binomial(n, p) with 0 < p < 1.
 
-    Each term of the law is exponentiated from its logarithm, so no
-    intermediate over- or underflows; terms below the double range are 0.
+    Each term is exponentiated from its logarithm, so no intermediate
+    over- or underflows; terms below the double range are 0.
     """
     log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    pmf = [
+    return [
         math.exp(log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
         for i in range(n + 1)
     ]
+
+
+def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p) with 0 < p < 1."""
+    pmf = _binomial_pmf(n, p)
     return min(1.0, math.fsum(pmf[: k + 1])), min(1.0, math.fsum(pmf[k:]))
 
 
@@ -108,6 +121,70 @@ def stage_bounds(replicas: int) -> list[int]:
         bounds.append(n)
         n *= 2
     return bounds + [replicas]
+
+
+Look = tuple[int, int, int]  # (n, k_no, k_yes)
+
+
+@lru_cache(maxsize=16)
+def probe_looks(replicas: int, eps: float) -> tuple[Look, ...]:
+    """The stage rule of a probe of ``replicas`` against eps, as thresholds.
+
+    One (n, k_no, k_yes) per look of ``stage_bounds(replicas)``: the rule
+    stops at the first look whose survivor count k has k <= k_no
+    (decision: p < eps) or k >= k_yes (p >= eps).  At an early look these
+    are the two sides of ``min(binomial_tails(k, n, eps)) < alpha/2``,
+    found by bisection on k, since the lower tail rises and the upper
+    tail falls with k; each look costs one law and O(log n) tail sums.
+    The last look always stops: k_yes is the fewest survivors with
+    k / replicas >= eps, and k_no = k_yes - 1.
+    """
+    bounds = stage_bounds(replicas)
+    half_alpha = 0.5 * PROBE_ERROR / len(bounds)
+    looks = []
+    for n in bounds[:-1]:
+        pmf = _binomial_pmf(n, eps)
+        ks = range(n + 1)
+        k_no = bisect_left(ks, True, key=lambda k: math.fsum(pmf[: k + 1]) >= half_alpha) - 1
+        k_yes = bisect_left(ks, True, key=lambda k: math.fsum(pmf[k:]) < half_alpha)
+        looks.append((n, k_no, k_yes))
+    k_final = bisect_left(range(replicas + 1), True, key=lambda k: k / replicas >= eps)
+    looks.append((replicas, k_final - 1, k_final))
+    return tuple(looks)
+
+
+def _decision(looks: tuple[Look, ...], m: int, k: int, fill: int) -> bool:
+    """Decision after m replicas with k survivors if all later ones die (fill 0) or survive (fill 1).
+
+    Looks at fewer than m replicas are skipped: the caller knows none of
+    them stopped.
+    """
+    for n, k_no, k_yes in looks:
+        s = k + fill * (n - m)
+        if n >= m and not k_no < s < k_yes:
+            return s >= k_yes
+    raise ParameterError(f"a prefix of {m} replicas is longer than the probe")
+
+
+def curtail(
+    looks: tuple[Look, ...], survived: Iterable[int], m: int = 0, k: int = 0
+) -> tuple[int, int, Optional[bool]]:
+    """Read replica outcomes up to the shortest prefix that fixes the rule's decision.
+
+    Starts after a prefix of m replicas with k survivors that fixes
+    nothing and reads ``survived`` in replica order.  A prefix fixes the
+    decision when its completions by all deaths and by all survivals get
+    the same one, which then every completion gets, the decision being
+    monotone in the outcomes.  Returns (m, k, decision) for the first
+    prefix that fixes it, or for all of ``survived`` with decision None.
+    """
+    for s in survived:
+        m += 1
+        k += s
+        decision = _decision(looks, m, k, 0)
+        if decision == _decision(looks, m, k, 1):
+            return m, k, decision
+    return m, k, None
 
 
 @dataclass
@@ -159,8 +236,8 @@ def run_replicas(
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if kind not in ("contact", "sir"):
         raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
-    # small chunks, so a short probe stage still reaches every worker
-    chunk = max(8, math.ceil(replicas / (4 * workers)))
+    # up to four chunks a worker, so a few slow replicas do not idle the rest
+    chunk = math.ceil(replicas / (4 * workers))
     chunks = [
         (kind, d, p, domain, horizon, cap, seed, lo, hi)
         for lo, hi in index_chunks(replicas, chunk, start)
@@ -183,25 +260,38 @@ def estimate_survival(
 
     The replicas are ``run_replicas``'s, in the box of the proxy's radius.
     With ``eps`` None all of them run in one batch.  With ``eps`` set the
-    estimate is a sequential probe of p against eps (see the module
-    docstring): it runs the stages of ``stage_bounds(replicas)`` and may
-    stop after fewer than ``replicas``; ``trials`` is the number that ran.
+    estimate is a probe of p against eps (see the module docstring): it
+    covers the shortest prefix of the replicas that fixes the decision of
+    ``probe_looks(replicas, eps)``, and ``trials`` is its length.
+
+    The replicas run in rounds.  With one worker a round is the fewest
+    replicas that could fix the decision, so none runs past the prefix.
+    With more, a round speculates to keep the workers busy: it runs until
+    a yes is expected at the prefix's survival rate (k+1)/(m+2), but
+    stops where a no could first be fixed, and holds at least one
+    replica per worker.
     """
     if eps is not None and not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    box = Box(proxy.box_radius)
-    bounds = [replicas] if eps is None else stage_bounds(replicas)
-    half_alpha = 0.5 * PROBE_ERROR / len(bounds)
-    trials = survivals = 0
-    for n in bounds:
-        rows = run_replicas(
-            kind, d, p, box, proxy.horizon, proxy.active_cap, n - trials, seed, workers,
-            start=trials,
-        )
-        survivals += sum(row[0] for row in rows)
-        trials = n
-        if n < replicas and min(binomial_tails(survivals, n, eps)) < half_alpha:
-            break
+    args = (kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap)
+    if eps is None:
+        trials = replicas
+        survivals = sum(row[0] for row in run_replicas(*args, replicas, seed, workers))
+    else:
+        looks = probe_looks(replicas, eps)
+        trials = survivals = 0
+        decision = None
+        while decision is None:
+            # r_yes more survivals fix the decision at the earliest; a round
+            # ends there with one worker, else where the prefix's survival
+            # rate expects that many, and sooner where deaths could fix it
+            r_yes = curtail(looks, repeat(1), trials, survivals)[0] - trials
+            if workers > 1:
+                r_yes = math.ceil(r_yes * (trials + 2) / (survivals + 1))
+            size = curtail(looks, repeat(0, r_yes), trials, survivals)[0] - trials
+            size = min(max(workers, size), replicas - trials)
+            rows = run_replicas(*args, size, seed, workers, start=trials)
+            trials, survivals, decision = curtail(looks, (row[0] for row in rows), trials, survivals)
     ci_low, ci_high = wilson_interval(survivals, trials)
     return SurvivalEstimate(
         kind=kind,
@@ -221,7 +311,7 @@ class ProbeRecord(SurvivalEstimate):
     """One survival probe of the bisection: its estimate, phase and stop."""
 
     phase: str  # "bracket-low", "bracket-high" or "bisect"
-    stop: str  # "early" (the sequential test settled it) or "full"
+    stop: str  # "early" (settled before its last replica) or "full"
 
 
 @dataclass
@@ -261,10 +351,15 @@ def bisect_critical(
     The bracket starts at the proven lower bound (expected sub-eps) and
     doubles upward until a probe exceeds eps; bisection then narrows the
     bracket to ``tol`` (default 5% of the lower bound).  Every probe is
-    a sequential probe against ``eps`` (see the module docstring) and is
-    recorded as a ``ProbeRecord``: its ``SurvivalEstimate`` plus the
-    bisection phase and whether it stopped early.  All probes share one
-    worker pool, which is gone when this returns or raises.  Raises
+    a curtailed probe against ``eps`` (see the module docstring) and is
+    recorded as a ``ProbeRecord``: its ``SurvivalEstimate``, whose
+    ``trials``, ``survivals`` and ``p_hat`` describe the shortest replica
+    prefix that settled its decision, plus the bisection phase and
+    whether that prefix is shorter than the probe's replicas ("early")
+    or all of them ("full").  The Wilson interval on the prefix is not
+    adjusted for the curtailment.  All probes share one worker pool,
+    which is gone when this returns or raises unless an enclosing
+    ``pool_scope`` owns it.  Raises
     ParameterError unless ``tol`` and ``lambda_max`` are positive and
     finite, and BracketError when no bracket exists below ``lambda_max``
     (default 64x the lower bound).
@@ -367,22 +462,24 @@ def trend_study(
     One ``bisect_critical`` estimate per dimension, each carrying the
     dimension-free target constant 1 + (1+delta)/gamma.  d_list must be
     ascending.  ``proxy`` maps each dimension to its setting; None uses
-    ``ProxySettings.default_for(d)`` throughout.
+    ``ProxySettings.default_for(d)`` throughout.  All dimensions share
+    one worker pool, which is gone when this returns or raises.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
-    return [
-        bisect_critical(
-            kind,
-            d,
-            gamma,
-            delta,
-            eps=eps,
-            probe_replicas=probe_replicas,
-            bracket_replicas=bracket_replicas,
-            proxy=proxy[d] if proxy is not None else ProxySettings.default_for(d),
-            seed=mix_seed(seed, d),
-            workers=workers,
-        )
-        for d in d_list
-    ]
+    with pool_scope():
+        return [
+            bisect_critical(
+                kind,
+                d,
+                gamma,
+                delta,
+                eps=eps,
+                probe_replicas=probe_replicas,
+                bracket_replicas=bracket_replicas,
+                proxy=proxy[d] if proxy is not None else ProxySettings.default_for(d),
+                seed=mix_seed(seed, d),
+                workers=workers,
+            )
+            for d in d_list
+        ]

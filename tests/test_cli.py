@@ -184,6 +184,21 @@ def test_trend_output_golden(tmp_path, threads):
     )
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bisect_output_golden(tmp_path, threads):
+    # recorded when probes first stopped at the shortest replica prefix
+    # that settles their decision; lambda_hat 0.890625 as before
+    args = [
+        "bisect", "--d", "2", "--gamma", "1", "--delta", "1", "--tol", "0.1",
+        "--bracket-replicas", "150", "--probe-replicas", "100", "--cap", "150",
+        "--horizon", "25", "--radius", "10", "--seed", "5", "--threads", threads,
+    ]
+    out = run_cli(args, tmp_path, "bisect.csv")
+    assert hashlib.sha256(out).hexdigest() == (
+        "8d07d851cb8bb40216d4a1d212ea7dd9a74017f16562b3ca8f4d79f985411755"
+    )
+
+
 def test_trend_records_effective_proxy_per_dimension(tmp_path):
     # a horizon override keeps each dimension's default cap (2000 at d >= 10)
     args = [

@@ -1,13 +1,18 @@
 import math
 import multiprocessing
+import random
 
 import pytest
 
+from twostage import parallel
 from twostage.critical import (
+    PROBE_ERROR,
     ProxySettings,
     binomial_tails,
     bisect_critical,
+    curtail,
     estimate_survival,
+    probe_looks,
     run_replicas,
     stage_bounds,
     trend_study,
@@ -179,20 +184,85 @@ def test_binomial_tails_match_exact_sums(n, eps):
         assert upper == pytest.approx(math.fsum(pmf[k:]), rel=1e-9, abs=0)
 
 
+def _stage_rule(outcomes, eps):
+    """The stage rule's decision on a whole outcome vector, from binomial_tails directly."""
+    bounds = stage_bounds(len(outcomes))
+    half_alpha = 0.5 * PROBE_ERROR / len(bounds)
+    for n in bounds[:-1]:
+        k = sum(outcomes[:n])
+        if min(binomial_tails(k, n, eps)) < half_alpha:
+            return k / n >= eps
+    return sum(outcomes) / len(outcomes) >= eps
+
+
+@pytest.mark.parametrize(
+    "replicas, eps, vectors",
+    [(40, 0.05, 60), (128, 0.05, 60), (300, 0.3, 40), (600, 0.02, 40), (2000, 0.02, 12),
+     (10000, 0.02, 4)],
+)
+def test_curtailed_decision_is_the_stage_rule_on_the_shortest_prefix(replicas, eps, vectors):
+    looks = probe_looks(replicas, eps)
+    rnd = random.Random(replicas)
+    for v in range(vectors):
+        # survival rates on both sides of eps and near it, so both decisions and early and late stops occur
+        p = min(0.99, eps * (0.25, 0.8, 1.0, 1.3, 2.0, 5.0)[v % 6])
+        x = [int(rnd.random() < p) for _ in range(replicas)]
+        m, k, decision = curtail(looks, x)
+        assert decision == _stage_rule(x, eps)
+        assert k == sum(x[:m])
+        assert (k / m >= eps) == decision
+        # the prefix fixes the decision, and the prefix one shorter does not
+        rest = replicas - m
+        assert _stage_rule(x[:m] + [0] * rest, eps) == _stage_rule(x[:m] + [1] * rest, eps)
+        assert _stage_rule(x[: m - 1] + [0] * (rest + 1), eps) != _stage_rule(
+            x[: m - 1] + [1] * (rest + 1), eps
+        )
+
+
+def test_curtail_resumes_where_a_prefix_left_off():
+    looks = probe_looks(600, 0.02)
+    x = [int(random.Random(3).random() < 0.03) for _ in range(600)]
+    whole = curtail(looks, x)
+    m, k, decision = curtail(looks, x[:100])
+    assert decision is None and (m, k) == (100, sum(x[:100]))
+    assert curtail(looks, x[100:], m, k) == whole
+
+
+@pytest.mark.parametrize("replicas, eps", [(40, 0.05), (128, 0.05), (2000, 0.02), (10000, 0.02)])
+def test_probe_looks_match_a_direct_tail_scan(replicas, eps):
+    looks = probe_looks(replicas, eps)
+    assert [n for n, _, _ in looks] == stage_bounds(replicas)
+    half_alpha = 0.5 * PROBE_ERROR / len(looks)
+    for n, k_no, k_yes in looks[:-1]:
+        # every k up to n = 1024; beyond, a scan costs seconds per look, so
+        # k within 64 of both thresholds, the tails being monotone in k
+        near = set(range(k_no - 64, k_no + 65)) | set(range(k_yes - 64, k_yes + 65))
+        for k in range(n + 1) if n <= 1024 else sorted(near & set(range(n + 1))):
+            lower, upper = binomial_tails(k, n, eps)
+            assert (lower < half_alpha) == (k <= k_no)
+            assert (upper < half_alpha) == (k >= k_yes)
+    n, k_no, k_yes = looks[-1]
+    assert k_no == k_yes - 1
+    assert (k_yes - 1) / n < eps <= k_yes / n
+
+
 def test_sequential_probe_stops_at_first_look_when_clearly_supercritical():
     p = ProcessParams(lam=3.0, gamma=1.0, delta=1.0)
     est = estimate_survival("contact", 2, p, FAST_PROXY, 600, seed=1, eps=0.02)
-    assert est.trials == 64
-    assert est.p_hat == est.survivals / 64 > 0.02
-    full = estimate_survival("contact", 2, p, FAST_PROXY, 64, seed=1)
-    assert est.survivals == full.survivals
+    assert est.trials <= 64
+    # the prefix ends at the survivor that reaches the first look's yes side
+    assert est.survivals == probe_looks(600, 0.02)[0][2]
+    assert est.p_hat == est.survivals / est.trials > 0.02
+    prefix = estimate_survival("contact", 2, p, FAST_PROXY, est.trials, seed=1)
+    assert est.survivals == prefix.survivals
 
 
 @pytest.mark.parametrize("replicas", [40, 64])
 def test_single_look_probe_equals_one_batch(replicas):
     p = ProcessParams(lam=3.0, gamma=1.0, delta=1.0)
-    staged = estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1, eps=0.02)
-    assert staged == estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1)
+    probe = estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1, eps=0.02)
+    assert probe.trials < replicas
+    assert probe == estimate_survival("contact", 2, p, FAST_PROXY, probe.trials, seed=1)
 
 
 def test_staged_probe_records_do_not_depend_on_workers():
@@ -201,19 +271,33 @@ def test_staged_probe_records_do_not_depend_on_workers():
     pooled = bisect_critical("contact", 2, 1.0, 1.0, workers=2, **kwargs)
     assert pooled.probes == serial.probes
     assert pooled.lambda_hat == serial.lambda_hat
-    stops = {pr.stop for pr in serial.probes}
-    assert stops == {"early", "full"}
     for pr in serial.probes:
         requested = 300 if pr.phase == "bisect" else 600
+        assert 1 <= pr.trials <= requested
         assert (pr.stop == "early") == (pr.trials < requested)
-        assert pr.trials in stage_bounds(requested)
 
 
-def test_bisect_leaves_no_worker_running():
+def test_bisect_leaves_no_worker_running(monkeypatch):
     bisect_critical(
         "contact", 2, 1.0, 1.0,
         tol=0.2, probe_replicas=100, bracket_replicas=200, proxy=FAST_PROXY, seed=4, workers=2,
     )
+    assert multiprocessing.active_children() == []
+    # a trend forks one pool for all its dimensions
+    pools = []
+    real_pool = parallel.multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
+    trend_study(
+        "contact", [2, 3], 1.0, 1.0,
+        probe_replicas=100, bracket_replicas=200, proxy={2: FAST_PROXY, 3: FAST_PROXY}, seed=8,
+        workers=2,
+    )
+    assert len(pools) == 1
     assert multiprocessing.active_children() == []
     with pytest.raises(BracketError):
         bisect_critical(
