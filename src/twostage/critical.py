@@ -264,13 +264,14 @@ def estimate_survival(
     covers the shortest prefix of the replicas that fixes the decision of
     ``probe_looks(replicas, eps)``, and ``trials`` is its length.
 
-    The replicas run in rounds.  With one worker a round is the fewest
-    replicas that could fix the decision, so none runs past the prefix.
-    With more, a round speculates to keep the workers busy: it runs until
-    a yes is expected at the prefix's survival rate (k+1)/(m+2), but
-    stops where a no could first be fixed, and holds at least one
-    replica per worker.
+    The replicas run in rounds.  A round speculates past the fewest
+    replicas that could fix the decision: it runs until a yes is expected
+    at the prefix's survival rate (k+1)/(m+2), but stops where a no could
+    first be fixed, and holds at least one replica per worker.  Raises
+    ParameterError unless ``replicas`` >= 1 and eps is in (0, 1).
     """
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if eps is not None and not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     args = (kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap)
@@ -283,11 +284,10 @@ def estimate_survival(
         decision = None
         while decision is None:
             # r_yes more survivals fix the decision at the earliest; a round
-            # ends there with one worker, else where the prefix's survival
-            # rate expects that many, and sooner where deaths could fix it
+            # ends where the prefix's survival rate expects that many, and
+            # sooner where deaths could fix it
             r_yes = curtail(looks, repeat(1), trials, survivals)[0] - trials
-            if workers > 1:
-                r_yes = math.ceil(r_yes * (trials + 2) / (survivals + 1))
+            r_yes = math.ceil(r_yes * (trials + 2) / (survivals + 1))
             size = curtail(looks, repeat(0, r_yes), trials, survivals)[0] - trials
             size = min(max(workers, size), replicas - trials)
             rows = run_replicas(*args, size, seed, workers, start=trials)
@@ -359,10 +359,10 @@ def bisect_critical(
     or all of them ("full").  The Wilson interval on the prefix is not
     adjusted for the curtailment.  All probes share one worker pool,
     which is gone when this returns or raises unless an enclosing
-    ``pool_scope`` owns it.  Raises
-    ParameterError unless ``tol`` and ``lambda_max`` are positive and
-    finite, and BracketError when no bracket exists below ``lambda_max``
-    (default 64x the lower bound).
+    ``pool_scope`` owns it.  Raises ParameterError unless ``tol`` and
+    ``lambda_max`` are positive and finite and both replica counts are
+    at least 1, and BracketError when no bracket exists below
+    ``lambda_max`` (default 64x the lower bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -375,6 +375,9 @@ def bisect_critical(
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    for name, n in (("probe_replicas", probe_replicas), ("bracket_replicas", bracket_replicas)):
+        if n < 1:
+            raise ParameterError(f"{name} must be >= 1, got {n}")
     lb = lower_bound_lambda(d, gamma, delta)
     if tol is None:
         tol = 0.05 * lb

@@ -364,6 +364,17 @@ def test_non_finite_or_non_positive_settings_exit_2_naming_them(tmp_path, args, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--bracket-replicas", "--probe-replicas"])
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_bisect_needs_a_replica_per_probe(tmp_path, option, replicas):
+    out = tmp_path / "bad.csv"
+    proc = cli_process([*QUICK_BISECT, option, replicas], out)
+    assert proc.returncode == 2, proc.stderr
+    assert f"replicas must be >= 1, got {replicas}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_ode_bad_time_writes_nothing_to_stdout():
     # the metadata block is written only once every row is computed
     proc = cli_process(["ode", "--d", "5", "--lambda", "0.3", "--times", "1,nan"], "-")

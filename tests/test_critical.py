@@ -117,6 +117,15 @@ def test_bisect_rejects_non_finite_or_non_positive_settings(kwargs, name):
         )
 
 
+@pytest.mark.parametrize("name", ["probe_replicas", "bracket_replicas"])
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_bisect_needs_a_replica_per_probe(name, replicas):
+    kwargs = dict(probe_replicas=20, bracket_replicas=20, proxy=FAST_PROXY, seed=7)
+    kwargs[name] = replicas
+    with pytest.raises(ParameterError, match=f"{name} must be >= 1, got {replicas}"):
+        bisect_critical("contact", 2, 1.0, 1.0, **kwargs)
+
+
 @pytest.mark.slow
 def test_bisect_d1_large_gamma_reduces_to_single_stage():
     # with near-instant maturation the model degenerates to a single
@@ -263,6 +272,23 @@ def test_single_look_probe_equals_one_batch(replicas):
     probe = estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1, eps=0.02)
     assert probe.trials < replicas
     assert probe == estimate_survival("contact", 2, p, FAST_PROXY, probe.trials, seed=1)
+
+
+def test_full_probe_does_not_depend_on_workers():
+    # a subcritical probe settles only at its last replica, so the last
+    # round is cut to the replicas that remain
+    p = ProcessParams(lam=0.2, gamma=1.0, delta=1.0)
+    serial = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, workers=1, eps=0.02)
+    pooled = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, workers=2, eps=0.02)
+    assert serial.trials == 40
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_probe_needs_a_replica(replicas):
+    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
+    with pytest.raises(ParameterError, match=f"replicas must be >= 1, got {replicas}"):
+        estimate_survival("contact", 2, p, FAST_PROXY, replicas, seed=1, eps=0.02)
 
 
 def test_staged_probe_records_do_not_depend_on_workers():
