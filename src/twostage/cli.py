@@ -14,7 +14,8 @@ config file is flat ``key = value`` text; keys are the long option
 names of the subcommand (``lambda``, ``d-list``, ``format``, ...), and
 any other key is a validation error.  Environment variables
 TWOSTAGE_SEED and TWOSTAGE_THREADS supply the default seed and worker
-count; a value that is not an integer (or, for the worker count, is
+count, and are read only when neither a flag nor the config file gives
+the value; a value that is not an integer (or, for the worker count, is
 below 1) is a validation error.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation error, 3
@@ -171,17 +172,27 @@ def _cast(name: str, text: str):
     return value
 
 
-def _env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
-    raw = os.environ.get(name)
+def _get_or_env(
+    res: Resolver, name: str, env: str, default: int, minimum: Optional[int] = None
+) -> int:
+    """res.get(name), else the integer in environment variable env, else default.
+
+    env is read only when neither a flag nor the config file gives the
+    value, so a bad variable cannot fail a run that overrides it.
+    """
+    value = res.get(name)
+    if value is not None:
+        return value
+    raw = os.environ.get(env)
     if raw is None:
-        return default
+        return res.get(name, default)
     try:
         value = int(raw)
     except ValueError:
-        raise ParameterError(f"{name} must be an integer, got {raw!r}") from None
+        raise ParameterError(f"{env} must be an integer, got {raw!r}") from None
     if minimum is not None and value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    return value
+        raise ParameterError(f"{env} must be >= {minimum}, got {value}")
+    return res.get(name, value)
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +590,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         res = Resolver(args, load_config(args.config, args.command))
-        seed = res.get("seed", _env_int("TWOSTAGE_SEED", 0))
-        workers = res.get("threads", _env_int("TWOSTAGE_THREADS", os.cpu_count() or 1, minimum=1))
+        seed = _get_or_env(res, "seed", "TWOSTAGE_SEED", 0)
+        workers = _get_or_env(res, "threads", "TWOSTAGE_THREADS", os.cpu_count() or 1, minimum=1)
         if workers < 1:
             raise ParameterError(f"--threads must be >= 1, got {workers}")
         out_path = res.get("out", "-")

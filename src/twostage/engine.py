@@ -23,19 +23,15 @@ proposed neighbour by their arithmetic, so it builds and keeps no
 neighbour tuples; the pair loop reads whole tuples from
 ``neighbor_codes``, which builds them from the same tables.
 
-Draw contract: each event reads one uniform and one exponential from
-rng.EventDraws, so a replica's draws are a fixed function of the stream
-it is handed (the same draws as lockstep fills of rng._DRAW_BUF
-uniforms then as many exponentials).  The buffers hold the values as
-Python floats, so the loops do plain float arithmetic; each value is
-the generator's double itself.  Where the generator is left
-afterwards is not part of the contract: a replica that stays inside the
-peeked first fill leaves it just past the exponentials it read, not
-past the full fill.  A generator reused for a second call still reads
-no output twice, so the calls stay independent.  A replica's path up to
-time t does not depend on ``horizon``, which only ends the loop, so the
-state at each of ``simulate``'s ``sample_times`` s is the final state of
-the same stream run to horizon s.
+Draw contract: each event reads one (uniform, exponential) pair of
+Python floats from rng.event_draws, so a replica's draws are a fixed
+function of the stream it is handed.  Where the generator is left
+afterwards is not part of the contract (see event_draws); a generator
+reused for a second call still reads no output twice, so the calls stay
+independent.  A replica's path up to time t does not depend on
+``horizon``, which only ends the loop, so the state at each of
+``simulate``'s ``sample_times`` s is the final state of the same stream
+run to horizon s.
 """
 from __future__ import annotations
 
@@ -49,7 +45,7 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import LatticeGeometry, Site
 from .params import ProcessParams
-from .rng import EventDraws
+from .rng import event_draws
 
 HEALTHY = 0
 SEMI = 1
@@ -326,23 +322,13 @@ def simulate(
     if peak == 0:
         extinction_time = t
     elif peak < cap:
-        draws = EventDraws(rng)
-        u_buf = draws.u
-        e_buf = draws.e
-        n_buf = len(u_buf)
-        cur = 0
         n1 = len(ones)
         n2 = len(twos)
         full_tot = 1.0 + lam2d  # total outgoing rate of a fully-infected site
-        while True:
+        for u, e in event_draws(rng):
             s1 = n1 * semi_tot
             rate = n2 * full_tot + s1
-            if cur >= n_buf:
-                cur = draws.refill()
-                u_buf = draws.u
-                e_buf = draws.e
-                n_buf = len(u_buf)
-            t_next = t + e_buf[cur] / rate
+            t_next = t + e / rate
             if t_next >= stop:
                 if t_next >= horizon:
                     t = horizon
@@ -351,8 +337,7 @@ def simulate(
                     snaps.append(dict(states))
                     stop = samples[len(snaps)] if len(snaps) < len(samples) else horizon
             t = t_next
-            u = u_buf[cur] * rate
-            cur += 1
+            u *= rate
             if u < n2:
                 # recovery of a fully-infected site
                 i = int(u)
@@ -515,11 +500,7 @@ def simulate_linear(
             LinearConfig(values={g.decode(c): v for c, v in vals.items()}, time=at)
         )
 
-    draws = EventDraws(rng)
-    u_buf = draws.u
-    e_buf = draws.e
-    n_buf = len(u_buf)
-    cur = 0
+    draws = event_draws(rng)
     while next_i < len(times):
         n = len(active)
         if n == 0:
@@ -528,20 +509,15 @@ def simulate_linear(
                 snapshot(times[next_i])
                 next_i += 1
             break
-        if cur >= n_buf:
-            cur = draws.refill()
-            u_buf = draws.u
-            e_buf = draws.e
-            n_buf = len(u_buf)
-        t_next = t + e_buf[cur] / (n * bundle)
+        u, e = next(draws)  # after the frozen check: a run that never moves draws nothing
+        t_next = t + e / (n * bundle)
         while next_i < len(times) and times[next_i] <= t_next:
             snapshot(times[next_i])
             next_i += 1
         if next_i >= len(times):
             break
         t = t_next
-        u = u_buf[cur] * n
-        cur += 1
+        u *= n
         i = int(u)
         if i >= n:
             i = n - 1

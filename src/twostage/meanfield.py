@@ -107,19 +107,30 @@ def solve_moments(d: int, p: ProcessParams, t: float) -> tuple[float, float]:
     return _moment_solution(c1, c2, 2.0 * d * p.lam, float(t))
 
 
+def _require_rates(gamma: float, delta: float) -> None:
+    """Raise ParameterError naming gamma or delta unless both are finite and positive.
+
+    A NaN passes a plain ``<= 0`` test and would surface later as a bad
+    rate or resolution derived from it.
+    """
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+
+
 def lower_bound_lambda(d: int, gamma: float, delta: float) -> float:
     """Proven lower bound (1/2d) * (1 + (1+delta)/gamma) on the critical rate."""
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
+    _require_rates(gamma, delta)
     return (1.0 + (1.0 + delta) / gamma) / (2.0 * d)
 
 
 def scaled_limit(gamma: float, delta: float) -> float:
     """The dimension-free constant 1 + (1+delta)/gamma targeted by 2d*lambda_c."""
-    if gamma <= 0 or delta <= 0:
-        raise ParameterError("gamma and delta must be positive")
+    _require_rates(gamma, delta)
     return 1.0 + (1.0 + delta) / gamma
 
 
@@ -130,8 +141,7 @@ def lambda_from_theta(d: int, gamma: float, delta: float, theta: float) -> float
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ParameterError(f"theta must be positive and finite, got {theta}")
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    _require_rates(gamma, delta)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     return theta * (1.0 + gamma + delta) / (2.0 * d * gamma)

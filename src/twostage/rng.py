@@ -7,9 +7,10 @@ identical results regardless of worker count or call order, and any
 single replica can be replayed in isolation.
 
 Draws that are consumed one at a time come in fills of _DRAW_BUF values,
-which amortize numpy's per-call cost: ``EventDraws`` pairs uniform and
-exponential fills for the event loops, and ``exponentials`` yields the
-standard exponentials of a stream for lazily drawn clocks.
+which amortize numpy's per-call cost: ``event_draws`` iterates the
+(uniform, exponential) pairs that the event loops read, one per event,
+and ``exponentials`` yields the standard exponentials of a stream for
+lazily drawn clocks.
 
 Block seeding.  A stream is ``PCG64`` seeded through numpy's
 ``SeedSequence`` hash of the entropy words (seed, keys).  Replica loops
@@ -23,6 +24,7 @@ cost; every other key tuple goes through ``SeedSequence`` itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from typing import Iterator
 
@@ -155,53 +157,45 @@ _DRAW_BUF = 8192
 _PEEK = 64
 
 
-class EventDraws:
-    """Paired uniform and exponential buffers for one event loop.
+def event_draws(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
+    """Endless (uniform, exponential) pairs of rng, one pair per event.
 
-    A fill draws _DRAW_BUF uniforms, then _DRAW_BUF exponentials.  Most
+    The pairs are those of lockstep fills: _DRAW_BUF uniforms, then
+    _DRAW_BUF exponentials, pair i of a fill taking value i of each.  Most
     replicas use a handful of events, so the first fill is peeked: its
     first _PEEK uniforms, a jump over the rest of the uniforms, and its
-    first _PEEK exponentials.  A loop that outgrows the peek calls
-    ``refill``, which replays the full first fill from the saved state and
-    resumes at index _PEEK.  Every draw a loop consumes is therefore a
-    fixed function of the stream, equal to lockstep full fills; only the
-    generator's state after a replica that stayed inside the peek differs
-    (it sits past the peeked exponentials).  Generators whose jump is not
-    counted in 64-bit outputs (MT19937, Philox, ...) peek the full fill.
+    first _PEEK exponentials.  Pair _PEEK replays the full first fill from
+    the saved state and goes on from its index _PEEK.  Only the
+    generator's state after a loop that stayed inside the peek differs
+    from lockstep fills (it sits past the peeked exponentials).
+    Generators whose jump is not counted in 64-bit outputs (MT19937,
+    Philox, ...) take full fills from the start.  Nothing is drawn before
+    the first pair is read.
 
-    ``u`` and ``e`` are lists of Python floats, converted from numpy's
-    arrays at each fill, so the loop does no numpy-scalar arithmetic.  The
-    loop reads them into locals and calls ``refill`` when its index
-    reaches ``len(u)``.
+    The values are Python floats, converted from numpy's arrays a fill at
+    a time, so the loop does no numpy-scalar arithmetic; ``chain`` keeps
+    the step from one pair to the next in C.
     """
+    return itertools.chain.from_iterable(_fills(rng))
 
-    __slots__ = ("_rng", "_replay", "u", "e")
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        bg = rng.bit_generator
-        # PCG64's advance(n) skips exactly n 64-bit outputs; Philox's counts
-        # four-output blocks.  Looked up here, not at import, because
-        # numpy loads numpy.random lazily.
-        jumps = isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM))
-        peek = _PEEK if jumps else _DRAW_BUF
-        self._replay = bg.state if peek < _DRAW_BUF else None
-        self.u = rng.random(peek).tolist()  # one 64-bit output per double
-        if peek < _DRAW_BUF:
-            bg.advance(_DRAW_BUF - peek)
-        self.e = rng.standard_exponential(peek).tolist()
-
-    def refill(self) -> int:
-        """Load the next full fill; return the index the loop resumes at."""
-        rng = self._rng
-        resume = 0
-        if self._replay is not None:
-            rng.bit_generator.state = self._replay
-            self._replay = None
-            resume = len(self.u)
-        self.u = rng.random(_DRAW_BUF).tolist()
-        self.e = rng.standard_exponential(_DRAW_BUF).tolist()
-        return resume
+def _fills(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
+    """The pairs of event_draws, one iterator per fill."""
+    bg = rng.bit_generator
+    # PCG64's advance(n) skips exactly n 64-bit outputs; Philox's counts
+    # four-output blocks.  Looked up here, not at import, because numpy
+    # loads numpy.random lazily.
+    if isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+        replay = bg.state
+        u = rng.random(_PEEK).tolist()  # one 64-bit output per double
+        bg.advance(_DRAW_BUF - _PEEK)
+        yield zip(u, rng.standard_exponential(_PEEK).tolist())
+        bg.state = replay
+        u = rng.random(_DRAW_BUF).tolist()
+        yield zip(u[_PEEK:], rng.standard_exponential(_DRAW_BUF).tolist()[_PEEK:])
+    while True:
+        u = rng.random(_DRAW_BUF).tolist()
+        yield zip(u, rng.standard_exponential(_DRAW_BUF).tolist())
 
 
 def exponentials(rng: np.random.Generator) -> Iterator[float]:

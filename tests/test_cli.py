@@ -354,6 +354,13 @@ QUICK_BISECT = ["bisect", "--d", "2", "--bracket-replicas", "20", "--probe-repli
         ([*QUICK_BISECT, "--tol", "nan"], "tol must be positive and finite, got nan"),
         ([*QUICK_BISECT, "--lambda-max", "nan"], "lambda_max must be positive and finite, got nan"),
         ([*QUICK_BISECT, "--lambda-max", "-1"], "lambda_max must be positive and finite, got -1.0"),
+        # a NaN rate is named, not blamed on the tol, lambda_max or lam derived from it
+        ([*QUICK_BISECT, "--gamma", "nan"], "gamma must be finite, got nan"),
+        ([*QUICK_BISECT, "--delta", "nan", "--tol", "0.1"], "delta must be finite, got nan"),
+        (["trend", "--d-list", "2,3", "--gamma", "nan"], "gamma must be finite, got nan"),
+        (["trend", "--d-list", "2,3", "--delta", "inf"], "delta must be finite, got inf"),
+        (["sawbound", "--d", "12", "--theta", "1.5", "--gamma", "nan"], "gamma must be finite, got nan"),
+        (["sawbound", "--d", "12", "--theta", "1.5", "--delta", "nan"], "delta must be finite, got nan"),
     ],
 )
 def test_non_finite_or_non_positive_settings_exit_2_naming_them(tmp_path, args, message):
@@ -419,6 +426,20 @@ def test_bad_env_threads_is_a_validation_error(tmp_path, value):
     proc = cli_process(SIM_ARGS, tmp_path / "env.csv", env={"TWOSTAGE_THREADS": value})
     assert proc.returncode == 2, proc.stderr
     assert "TWOSTAGE_THREADS" in proc.stderr
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flag_or_config_wins_over_a_bad_env_variable(tmp_path, source):
+    args = ["ode", "--d", "5", "--lambda", "0.3"]
+    if source == "flag":
+        args += ["--threads", "1", "--seed", "7"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\nseed = 7\n")
+        args += ["--config", str(cfg)]
+    env = {"TWOSTAGE_THREADS": "abc", "TWOSTAGE_SEED": "x"}
+    out = run_cli(args, tmp_path, "ode.csv", env=env).decode()
+    assert "# seed=7" in out
 
 
 def test_env_seed_default(tmp_path):

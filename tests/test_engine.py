@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from twostage.engine import (
 from twostage.errors import DomainError, ParameterError
 from twostage.lattice import Box, LatticeGeometry, Torus, origin
 from twostage.params import ProcessParams
-from twostage.rng import EventDraws, substream
+from twostage.rng import event_draws, substream
 
 
 @pytest.fixture
@@ -276,7 +277,7 @@ def test_all_full_config_covers_domain():
 # computed neighbours from per-direction strides.  The comment on
 # each row is the number of (uniform, exponential) pairs the replica
 # reads: up to 64 stays inside the peeked first fill, more replays it,
-# more than 8192 crosses a second refill.
+# more than 8192 goes on into the second fill.
 SPREAD_SETUPS = {
     # name: (d, domain, (lam, gamma, delta), horizon)
     "ring": (1, Torus(3), (0.8, 1.0, 1.0), 2.0),
@@ -382,17 +383,21 @@ def test_linear_draws_are_fixed_by_the_stream(setup, seed, replica, finals):
 def test_peek_is_the_prefix_of_the_full_fill_and_replays_it():
     for i in range(50):
         full = substream(53, i)
-        u = full.random(8192)
-        e = full.standard_exponential(8192)
+        lockstep = []
+        for _ in range(2):
+            u = full.random(8192)
+            lockstep += zip(u.tolist(), full.standard_exponential(8192).tolist())
         rng = substream(53, i)
-        draws = EventDraws(rng)
-        peeked = len(draws.u)
-        assert peeked < 8192
-        assert (draws.u == u[:peeked]).all() and (draws.e == e[:peeked]).all()
-        assert draws.refill() == peeked
-        assert (draws.u == u).all() and (draws.e == e).all()
-        assert rng.bit_generator.state == full.bit_generator.state
-        assert draws.refill() == 0  # later refills are plain lockstep fills
+        before = rng.bit_generator.state
+        draws = event_draws(rng)
+        assert rng.bit_generator.state == before  # nothing is drawn until a pair is read
+        peek = list(itertools.islice(draws, 64))
+        assert peek == lockstep[:64]
+        assert all(type(x) is float for x in peek[0])
+        assert list(itertools.islice(draws, 8192 - 64)) == lockstep[64:8192]
+        assert rng.bit_generator.state == _lockstep_state(53, i, 1)
+        assert list(itertools.islice(draws, 8192)) == lockstep[8192:]
+        assert rng.bit_generator.state == _lockstep_state(53, i, 2)
 
 
 def test_state_after_a_peeked_replica_is_past_every_output_it_read():

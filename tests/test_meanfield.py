@@ -147,6 +147,20 @@ def test_solve_moments_rejects_non_finite_time(t):
         solve_moments(5, ProcessParams(lam=0.3, gamma=1.0, delta=1.0), t)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_non_finite_gamma_or_delta_is_named(name, value):
+    rates = {"gamma": 1.0, "delta": 1.0, name: value}
+    calls = (
+        lambda: lower_bound_lambda(4, **rates),
+        lambda: scaled_limit(**rates),
+        lambda: lambda_from_theta(4, theta=1.5, **rates),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"{name} must be finite, got {value}"):
+            call()
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
 def test_lambda_from_theta_rejects_non_finite_theta(theta):
     # a non-finite theta must be named, not surface later as a bad lambda
