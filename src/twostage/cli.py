@@ -216,7 +216,8 @@ def _jsonable(value):
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
-        return float(value)
+        x = float(value)
+        return x if abs(x) < float("inf") else None  # JSON has no inf or nan
     return str(value)
 
 

@@ -17,9 +17,9 @@ can revisit a site only inside its current level.
 
 When period <= 2 (3 <= d <= 20) a level holds only the head before each
 free step, so the admissible set is always all 2 * (d - band) free moves
-and a walk's per-step draw bounds are fixed in advance: ``sample_walk``
-then draws the whole walk in one ``rng.integers`` call, which reads the
-same stream as the per-step calls of ``step_walk``.
+and a walk's per-step draw bounds are fixed in advance: the whole walk
+is then drawn in one ``rng.integers`` call, which reads the same stream
+as the per-step calls of ``step_walk``.
 
 For two independent such walks S and V, the index sets
 
@@ -33,6 +33,14 @@ the class carries a full infection chain -- and hence lower-bounds
 survival of the SIR model started from one fully-infected origin.
 K is a subset of F, since a matching edge starts at a site of S, so
 |F\\K| = |F| - |K|.
+
+The estimator keeps walks as (n+1) x d int64 arrays and counts F and K
+for a block of replica pairs with one band-sum join (``_join_counts``):
+equal sites have equal band sums, so V_i is compared only with the S_j
+of its level, at most ``period`` rows for walks of the class.  A block
+holds about ``_BLOCK_ELEMENTS`` walk-site entries, which bounds its
+memory.  ``sample_walk`` and ``pair_stats`` wrap the same draw and join
+for callers that work with ``WalkPath`` objects.
 """
 from __future__ import annotations
 
@@ -192,7 +200,7 @@ def _walk_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if plan is None or len(plan[1]) < n:
         period, band = drift_period(d), drift_band(d)
         free = d - band
-        unit = np.eye(d, dtype=np.int64)
+        unit = np.eye(d, dtype=np.int8)
         signed = np.stack([unit[:free], -unit[:free]], axis=1).reshape(-1, d)
         moves = np.concatenate([signed, unit[free:]])
         drift = np.arange(1, n + 1) % period == 0
@@ -201,27 +209,51 @@ def _walk_plan(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return moves, highs[:n], offsets[:n]
 
 
-def sample_walk(d: int, n: int, rng: np.random.Generator) -> WalkPath:
-    """A structured walk of length n from the origin.
+def _draw_walks(d: int, n: int, rngs: Sequence[np.random.Generator], per_rng: int) -> np.ndarray:
+    """Sites of ``per_rng`` n-step walks from each generator, as int64 arrays.
 
-    At period <= 2 no free step can hit a visited site (see the module
-    docstring), so the whole walk is drawn at once: one
-    ``rng.integers(0, highs)`` call yields the same values, and leaves
-    the generator in the same state, as the n scalar ``rng.integers``
-    calls of ``step_walk``; a cumulative sum of the chosen moves gives the
-    sites.  Longer periods step the walk with ``step_walk``.
+    Returns shape (per_rng, len(rngs), n + 1, d): entry [k, r] is the
+    k-th walk drawn from ``rngs[r]``, and each generator's walks are
+    drawn in order.  At period <= 2 no free step can hit a visited site
+    (see the module docstring), so a walk's draw is one
+    ``rng.integers(0, highs)`` call, which yields the same values, and
+    leaves the generator in the same state, as the n scalar
+    ``rng.integers`` calls of ``step_walk``; one gather from the move
+    table and one cumulative sum then give every walk's sites.  Longer
+    periods step each walk with ``step_walk`` and convert its sites once.
     """
     if n < 1:
         raise ParameterError(f"walk length must be >= 1, got {n}")
-    path = WalkPath.start(d)
-    if path.drift_period > 2:
-        for _ in range(n):
-            step_walk(path, rng)
-        return path
+    sites = np.zeros((per_rng, len(rngs), n + 1, d), dtype=np.int64)
+    if drift_period(d) > 2:
+        for r, rng in enumerate(rngs):
+            for k in range(per_rng):
+                path = WalkPath.start(d)
+                for _ in range(n):
+                    step_walk(path, rng)
+                sites[k, r] = path.sites
+        return sites
     moves, highs, offsets = _walk_plan(d, n)
-    steps = moves[rng.integers(0, highs) + offsets]
-    path.sites.extend(map(tuple, steps.cumsum(axis=0).tolist()))
-    return path
+    rows = np.empty((per_rng, len(rngs), n), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        for k in range(per_rng):
+            rows[k, r] = rng.integers(0, highs)
+    rows += offsets
+    steps = sites[:, :, 1:]
+    steps[...] = moves[rows]
+    np.cumsum(steps, axis=2, out=steps)  # in place: no temporary of the sites' size
+    return sites
+
+
+def sample_walk(d: int, n: int, rng: np.random.Generator) -> WalkPath:
+    """A structured walk of length n from the origin.
+
+    One walk of the array draw path that ``estimate_survival_lower_bound``
+    reads, as a ``WalkPath`` for callers that step or validate walks site
+    by site.
+    """
+    sites = _draw_walks(d, n, [rng], 1)[0, 0]
+    return WalkPath.from_sites(d, list(map(tuple, sites.tolist())))
 
 
 @dataclass(frozen=True)
@@ -232,16 +264,89 @@ class PairStats:
     k_size: int
 
 
+def _equal_rows(
+    a: np.ndarray, a_rows: np.ndarray, b: np.ndarray, b_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs with a[a_rows[t]] == b[b_rows[t]], compared exactly.
+
+    One coordinate at a time, each compare keeping only the pairs that
+    agree so far, so no temporary is wider than one coordinate.
+    """
+    for c in range(a.shape[1]):
+        same = a[a_rows, c] == b[b_rows, c]
+        a_rows, b_rows = a_rows[same], b_rows[same]
+    return a_rows, b_rows
+
+
+def _join_counts(
+    s: np.ndarray, v: np.ndarray, lengths: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """|F| and |K| of B walk pairs at each length, by an exact band-sum join.
+
+    ``s`` and ``v`` hold pair b's walks S and V as int64 arrays of shape
+    (B, n + 1, d), n = max(lengths).  Returns two (B, len(lengths)) int
+    arrays.
+
+    Equal sites have equal band-coordinate sums, for any walk, so V_i
+    need only be compared with the S_j of its band sum.  Pair b's band
+    sums are shifted into a key range of their own, so the B pairs form
+    one flat join: S's rows are stably sorted by key, ``searchsorted``
+    finds each V_i's bucket, and bucket slot t is one vectorised exact
+    row compare (``_equal_rows``) for every V_i with more than t
+    candidates, keeping the least matching j; the edge (V_i, V_{i+1})
+    matches (S_j, S_{j+1}) when also V_{i+1} = S_{j+1}.  A bucket of a
+    structured walk holds at most ``period`` rows (site j has band sum
+    j // period), so the join costs at most ``period`` row compares per
+    index; arbitrary walks can cost up to n + 1 and get exact counts too.
+
+    Index i joins F at n = max(i, j) for its first site match j, and K at
+    n = max(i, j) + 1 for its first edge match j.
+    """
+    pairs, rows, d = s.shape
+    n = rows - 1
+    band = drift_band(d)
+    s_sum = s[:, :, d - band :].sum(axis=2)
+    v_sum = v[:, :, d - band :].sum(axis=2)
+    low = min(s_sum.min(), v_sum.min())
+    shift = np.arange(pairs)[:, None] * (max(s_sum.max(), v_sum.max()) - low + 1) - low
+    s_key = (s_sum + shift).ravel()
+    v_key = (v_sum + shift).ravel()
+    s_flat = s.reshape(-1, d)
+    v_flat = v.reshape(-1, d)
+    order = np.argsort(s_key, kind="stable")
+    sorted_key = s_key[order]
+    first = np.searchsorted(sorted_key, v_key, side="left")
+    count = np.searchsorted(sorted_key, v_key, side="right") - first
+    site_j = np.full(v_key.size, rows)  # rows marks "no match"
+    edge_j = np.full(v_key.size, rows)
+    for t in range(int(count.max())):
+        i = np.flatnonzero(count > t)
+        j = order[first[i] + t]
+        j, i = _equal_rows(s_flat, j, v_flat, i)
+        local_j = j % rows
+        site_j[i] = np.minimum(site_j[i], local_j)
+        inner = (i % rows < n) & (local_j < n)
+        j, i = _equal_rows(s_flat, j[inner] + 1, v_flat, i[inner] + 1)
+        edge_j[i - 1] = np.minimum(edge_j[i - 1], j % rows - 1)
+    index = np.arange(rows)
+    f_at = np.maximum(index, site_j.reshape(pairs, rows))
+    k_at = np.maximum(index, edge_j.reshape(pairs, rows)) + 1
+    f = np.stack([(f_at <= m).sum(axis=1) for m in lengths], axis=1)
+    k = np.stack([(k_at <= m).sum(axis=1) for m in lengths], axis=1)
+    return f, k
+
+
 def pair_stats(s_walk: WalkPath, v_walk: WalkPath, lengths: Sequence[int]) -> list[PairStats]:
     """Site- and edge-collision counts of two walks at each length in ``lengths``.
 
     At length n, F collects indices i <= n with V_i among S's first n+1
     sites, and K collects indices i <= n-1 whose edge (V_i, V_{i+1})
     appears among S's first n edges.  Index 0 is always in F (shared
-    origin).  One scan of the longest prefix serves every length: index
-    i joins F at n = max(i, j) for the first j with S_j = V_i, and joins
-    K at n = max(i, j) + 1 for the first j with
-    (S_j, S_{j+1}) = (V_i, V_{i+1}).
+    origin).  One band-sum join of the longest prefixes serves every
+    length (``_join_counts``, here with a block of one pair, the core the
+    estimator runs on its blocks): index i joins F at n = max(i, j) for
+    the first j with S_j = V_i, and joins K at n = max(i, j) + 1 for the
+    first j with (S_j, S_{j+1}) = (V_i, V_{i+1}).
 
     K is a subset of F at every n: if i is in K, some j <= n-1 has
     (S_j, S_{j+1}) = (V_i, V_{i+1}), so V_i = S_j is among S's first n+1
@@ -250,25 +355,12 @@ def pair_stats(s_walk: WalkPath, v_walk: WalkPath, lengths: Sequence[int]) -> li
     if s_walk.d != v_walk.d:
         raise ParameterError(f"walks must share a dimension, got d={s_walk.d} and d={v_walk.d}")
     n = max(lengths)
-    s_sites = s_walk.sites
-    v_sites = v_walk.sites
-    if len(s_sites) < n + 1 or len(v_sites) < n + 1:
+    if len(s_walk.sites) < n + 1 or len(v_walk.sites) < n + 1:
         raise ParameterError(f"both walks must have length >= {n}")
-    # descending j, so each site or edge keeps its first index
-    site_at = {s_sites[j]: j for j in range(n, -1, -1)}
-    edge_at = {(s_sites[j], s_sites[j + 1]): j for j in range(n - 1, -1, -1)}
-    f_at = []  # the length at which each index of F joins it
-    k_at = []
-    for i in range(n + 1):
-        j = site_at.get(v_sites[i])
-        if j is None:
-            continue  # an edge match would need V_i among S's sites
-        f_at.append(max(i, j))
-        if i < n:
-            j = edge_at.get((v_sites[i], v_sites[i + 1]))
-            if j is not None:
-                k_at.append(max(i, j) + 1)
-    return [PairStats(sum(a <= m for a in f_at), sum(a <= m for a in k_at)) for m in lengths]
+    s = np.array([s_walk.sites[: n + 1]], dtype=np.int64)
+    v = np.array([v_walk.sites[: n + 1]], dtype=np.int64)
+    f, k = _join_counts(s, v, lengths)
+    return [PairStats(a, b) for a, b in zip(f[0].tolist(), k[0].tolist())]
 
 
 def pair_weight(stats: PairStats, p: ProcessParams) -> float:
@@ -306,6 +398,11 @@ class SawBoundEstimate:
     heavy_tail: bool
 
 
+# int64 walk-site entries per block of replicas in the estimator: bounds
+# the block's arrays, and so its memory, whatever n_max and d are
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def estimate_survival_lower_bound(
     d: int, p: ProcessParams, n_max: int, replicas: int, seed: int
 ) -> SawBoundEstimate:
@@ -313,10 +410,19 @@ def estimate_survival_lower_bound(
 
     The limit object lives at infinite walk length; the estimate is taken
     at n_max with a three-point convergence diagnostic at n_max/4,
-    n_max/2 and n_max so the truncation error stays visible; one
-    ``pair_stats`` call per replica gives all three.  The
+    n_max/2 and n_max so the truncation error stays visible.  The
     heavy_tail flag fires when the top 1% of sampled weights carries more
     than half of the total mass, signalling an unreliable mean.
+
+    Replica r draws S and then V from ``substream(seed, r)``.  Replicas
+    come in blocks of B pairs, B = _BLOCK_ELEMENTS // (2 (n_max + 1) d)
+    but at least 1, so a block's walk arrays hold about _BLOCK_ELEMENTS
+    int64 entries whatever the size: one draw call per block gives its
+    walks as arrays and one band-sum join (``_join_counts``) gives |F|
+    and |K| at all three checkpoints for every pair, at most ``period``
+    row compares per walk index.  Weights are summed in replica order, so
+    the result does not depend on B; ``pair_weight`` runs once per
+    distinct (|F|, |K|).
 
     Returns a SawBoundEstimate with a 95% delta-method interval.
     """
@@ -325,16 +431,20 @@ def estimate_survival_lower_bound(
     if replicas < 2:
         raise ParameterError(f"replicas must be >= 2, got {replicas}")
     checkpoints = sorted({max(1, n_max // 4), max(1, n_max // 2), n_max})
+    block = max(1, _BLOCK_ELEMENTS // (2 * (n_max + 1) * d))
     sums = {n: 0.0 for n in checkpoints}
+    weight_of: dict[tuple[int, int], float] = {}  # (|F|, |K|) -> pair_weight
     weights_at_max = np.empty(replicas)
-    for r in range(replicas):
-        rng = substream(seed, r)
-        s_walk = sample_walk(d, n_max, rng)
-        v_walk = sample_walk(d, n_max, rng)
-        weights = [pair_weight(st, p) for st in pair_stats(s_walk, v_walk, checkpoints)]
-        for n, w in zip(checkpoints, weights):
-            sums[n] += w
-        weights_at_max[r] = weights[-1]
+    for start in range(0, replicas, block):
+        rngs = [substream(seed, r) for r in range(start, min(start + block, replicas))]
+        f, k = _join_counts(*_draw_walks(d, n_max, rngs, 2), checkpoints)
+        for r, (f_r, k_r) in enumerate(zip(f.tolist(), k.tolist()), start):
+            for n, key in zip(checkpoints, zip(f_r, k_r)):
+                w = weight_of.get(key)
+                if w is None:
+                    w = weight_of[key] = pair_weight(PairStats(*key), p)
+                sums[n] += w
+            weights_at_max[r] = w
     mean = float(np.mean(weights_at_max))
     se = float(np.std(weights_at_max, ddof=1) / math.sqrt(replicas))
     top = max(1, replicas // 100)

@@ -245,6 +245,24 @@ def test_sawbound_with_theta(tmp_path):
     assert 0.0 < result[0]["bound"] <= 1.0
 
 
+def test_sawbound_jsonl_writes_null_for_non_finite_values(tmp_path):
+    # lambda near 0 overflows every weight: the mean is inf and its se nan,
+    # which JSON cannot hold
+    args = [
+        "sawbound", "--d", "3", "--lambda", "1e-30", "--gamma", "1", "--delta", "1",
+        "--n-max", "400", "--replicas", "20", "--seed", "1", "--format", "jsonl",
+    ]
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    out = run_cli(args, tmp_path, "inf.jsonl")
+    records = [json.loads(line, parse_constant=reject) for line in out.decode().splitlines()]
+    (result,) = [r for r in records if r["record"] == "result"]
+    assert result["mean_weight"] is None and result["se_weight"] is None
+    assert (result["bound"], result["heavy_tail"]) == (0.0, True)
+
+
 def test_oracle_check_quick_suite(tmp_path):
     args = ["oracle-check", "--suite", "all", "--replicas", "4000", "--seed", "0"]
     a = run_cli(args, tmp_path, "oc.csv")

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from twostage import saw
 from twostage.errors import DomainError, ParameterError
 from twostage.params import ProcessParams
 from twostage.rng import substream
@@ -223,6 +226,37 @@ def test_pair_stats_index_joins_at_its_first_match():
     )
 
 
+def _lattice_walk(d, n, rng):
+    # any axis, either sign: revisits and band sums of both signs occur
+    steps = np.zeros((n, d), dtype=np.int64)
+    steps[np.arange(n), rng.integers(d, size=n)] = rng.choice([-1, 1], size=n)
+    return np.concatenate([np.zeros((1, d), dtype=np.int64), steps.cumsum(axis=0)])
+
+
+def test_block_join_matches_brute_force_on_arbitrary_walks():
+    # blocks of several pairs of unstructured d=3 walks; in every block
+    # of two or more pairs, pair 1's V is pair 0's S, which a join whose
+    # keys leaked across pairs would match
+    d, n = 3, 40
+    lengths = [5, 17, 40]
+    rng = substream(53)
+    revisits = 0
+    for _ in range(12):
+        pairs = 1 + int(rng.integers(6))
+        s = np.stack([_lattice_walk(d, n, rng) for _ in range(pairs)])
+        v = np.stack([_lattice_walk(d, n, rng) for _ in range(pairs)])
+        if pairs > 1:
+            v[1] = s[0]
+        f, k = saw._join_counts(s, v, lengths)
+        for b in range(pairs):
+            s_sites = list(map(tuple, s[b].tolist()))
+            v_sites = list(map(tuple, v[b].tolist()))
+            revisits += len(set(s_sites)) < n + 1
+            want = [_brute_pair_stats(s_sites, v_sites, m) for m in lengths]
+            assert [PairStats(a, c) for a, c in zip(f[b].tolist(), k[b].tolist())] == want
+    assert revisits > 10
+
+
 def test_pair_stats_length_precondition():
     a = sample_walk(10, 5, substream(9, 0))
     with pytest.raises(ParameterError):
@@ -286,6 +320,26 @@ def test_survival_bound_estimate_shape():
     assert [n for n, _ in est.convergence] == [100, 200, 400]
     assert all(0.0 < b <= 1.0 for _, b in est.convergence)
     assert est.mean_weight >= 2.0  # every weight is at least 2
+
+
+def _estimator_digest():
+    # sha256 of every field of the estimate at periods 1, 2 and 3
+    h = hashlib.sha256()
+    for d, n_max, replicas in ((4, 40, 60), (12, 80, 60), (25, 60, 30)):
+        p = ProcessParams(lam=1.5 * 3.0 / (2 * d), gamma=1.0, delta=1.0)
+        est = estimate_survival_lower_bound(d, p, n_max=n_max, replicas=replicas, seed=17)
+        h.update(repr(dataclasses.astuple(est)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7 * 2 * 81 * 12])
+def test_survival_bound_golden_at_any_block_size(budget, monkeypatch):
+    # recorded with the per-replica estimator, before replicas came in
+    # blocks; a budget of 1 gives one pair per block, and 7 pairs of the
+    # d=12 walks leave a partial last block at every d
+    if budget is not None:
+        monkeypatch.setattr(saw, "_BLOCK_ELEMENTS", budget)
+    assert _estimator_digest() == "03cf32ce2f500088a08919e95424dacc7f68da947dcf06ca21542d325c50134b"
 
 
 def test_union_direct_needs_period_one():
