@@ -151,6 +151,10 @@ class Resolver:
         self.resolved[name] = value
         return value
 
+    def given(self, name: str) -> bool:
+        """Whether a flag or the config file sets name; nothing is recorded."""
+        return getattr(self.args, name, None) is not None or name in self.cfg
+
     def required(self, name: str):
         value = self.get(name)
         if value is None or value == []:
@@ -322,7 +326,11 @@ def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     p = _params(res)
     d = res.required("d")
     base = critical.ProxySettings.default_for(d)
-    if res.get("geometry", "box") == "torus":
+    geometry = res.get("geometry", "box")
+    for name, shape in (("radius", "box"), ("side", "torus")):
+        if shape != geometry and res.given(name):
+            raise ParameterError(f"{OPTIONS[name].flag} applies only to --geometry {shape}")
+    if geometry == "torus":
         domain = Torus(res.get("side", 5))
     else:
         domain = Box(res.get("radius", base.box_radius))
@@ -462,6 +470,8 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     lam = res.get("lam")
     if lam is None and theta is None:
         raise ParameterError("provide --lambda or --theta")
+    if lam is not None and theta is not None:
+        raise ParameterError("--lambda and --theta both set the rate; give only one")
     if lam is None:
         lam = lambda_from_theta(d, gamma, delta, theta)
     p = ProcessParams(lam=lam, gamma=gamma, delta=delta)

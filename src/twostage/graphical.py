@@ -1,13 +1,18 @@
 """Exponential-clock construction of the two-stage SIR model.
 
-Each site x of a finite region carries three independent exponential
-clocks: recovery W(x) at rate 1 (read once x is fully infected), removal
-Y(x) at rate 1 + delta and maturation Gam(x) at rate gamma (both read
-once x is semi-infected).  Each ordered neighbor pair (x, y) carries a
-transmission clock U(x, y) at rate lam; U(x, y) and U(y, x) are distinct.
-Because a site is infected at most once in the SIR model, one clock per
-site/pair realizes the process exactly, and the whole trajectory is a
-deterministic function of the bundle.
+Each site x carries three independent exponential clocks: recovery W(x)
+at rate 1 (read once x is fully infected), removal Y(x) at rate
+1 + delta and maturation Gam(x) at rate gamma (both read once x is
+semi-infected).  Each ordered neighbor pair (x, y) carries a
+transmission clock U(x, y) at rate lam; U(x, y) and U(y, x) are
+distinct.  Because a site is infected at most once in the SIR model, one
+clock per site/pair realizes the process exactly, and the whole
+trajectory is a deterministic function of the clocks.
+
+One family, ``LazyClocks``, holds them: a clock is drawn the first time
+it is read and memoized, so a run draws only the clocks it reaches.
+Drawing independent exponentials in data-dependent order leaves their
+joint law unchanged.
 
 The event along a self-avoiding path that every transmission clock beats
 the source's recovery clock and every maturation clock beats the removal
@@ -15,10 +20,9 @@ clock (``path_event``) forces the path's endpoint to be fully infected at
 some time; ``containment_holds`` checks that implication constructively.
 
 Neighbors within the region are found by probing the 2d sites at +-1 in
-each coordinate against the region set, so building a bundle and running
-the clock-driven trajectory cost O(|region| * d), up to the logarithm of
-the sorts and of the event heap.  A region's sites must share one
-dimension.
+each coordinate against the region set, so the clock-driven trajectory
+costs O(d) per site it reaches, up to the logarithm of the sorts and of
+the event heap.  A region's sites must share one dimension.
 """
 from __future__ import annotations
 
@@ -35,56 +39,95 @@ from .params import ProcessParams
 from .rng import exponentials
 
 
-@dataclass(frozen=True)
-class ClockBundle:
-    """One realization of the clock family on a finite region.
+class LazyClocks:
+    """The clock family, drawn on first read and memoized.
 
-    recovery[x]      -- W(x), rate 1
-    removal[x]       -- Y(x), rate 1 + delta
-    maturation[x]    -- Gam(x), rate gamma
-    transmission[x,y]-- U(x, y), rate lam, ordered pairs of neighbors
+    recovery[x]        -- W(x), rate 1, read by ``w(x)``
+    removal[x]         -- Y(x), rate 1 + delta, read by ``y(x)``
+    maturation[x]      -- Gam(x), rate gamma, read by ``gam(x)``
+    transmission[x, y] -- U(x, y), rate lam, read by ``u(x, y)``
+
+    The four dicts hold the clocks read so far; a value put there before
+    its first read is read as is, which builds a family by hand.
+    ``region`` is the finite site set that ``path_event``,
+    ``sir_from_clocks`` and ``containment_holds`` explore; a family
+    without one serves readers that pick their sites themselves.
+
+    Draw contract: each clock read for the first time takes the next value
+    of ``rng.exponentials(rng)``, scaled by its rate, whatever its kind;
+    nothing is drawn before the first such read.  ``clear`` forgets every
+    memoized clock and keeps reading the same stream, so one instance
+    serves a run of independent replicas.
     """
 
-    recovery: dict[Site, float]
-    removal: dict[Site, float]
-    maturation: dict[Site, float]
-    transmission: dict[tuple[Site, Site], float]
-    region: frozenset[Site]
+    __slots__ = ("region", "recovery", "removal", "maturation", "transmission", "_p", "_draw")
+
+    def __init__(
+        self,
+        p: ProcessParams,
+        rng: np.random.Generator,
+        region: set[Site] | frozenset[Site] | None = None,
+    ):
+        self.region = None if region is None else frozenset(region)
+        self.recovery: dict[Site, float] = {}
+        self.removal: dict[Site, float] = {}
+        self.maturation: dict[Site, float] = {}
+        self.transmission: dict[tuple[Site, Site], float] = {}
+        self._p = p
+        self._draw = exponentials(rng).__next__
+
+    def clear(self) -> None:
+        """Forget every memoized clock; later reads draw fresh values."""
+        for memo in (self.recovery, self.removal, self.maturation, self.transmission):
+            memo.clear()
+
+    def w(self, x: Site) -> float:
+        v = self.recovery.get(x)
+        if v is None:
+            v = self.recovery[x] = self._draw()
+        return v
+
+    def y(self, x: Site) -> float:
+        v = self.removal.get(x)
+        if v is None:
+            v = self.removal[x] = self._draw() / (1.0 + self._p.delta)
+        return v
+
+    def gam(self, x: Site) -> float:
+        v = self.maturation.get(x)
+        if v is None:
+            v = self.maturation[x] = self._draw() / self._p.gamma
+        return v
+
+    def u(self, x: Site, y: Site) -> float:
+        v = self.transmission.get((x, y))
+        if v is None:
+            v = self.transmission[(x, y)] = self._draw() / self._p.lam
+        return v
+
+
+def sample_clocks(
+    region: set[Site] | frozenset[Site], p: ProcessParams, rng: np.random.Generator
+) -> LazyClocks:
+    """Clock family on a finite region; nothing is drawn until a clock is read."""
+    if not region:
+        raise DomainError("clock region must be non-empty")
+    frozen = frozenset(region)
+    if len({len(x) for x in frozen}) != 1:
+        raise DomainError("clock region mixes sites of different dimensions")
+    return LazyClocks(p, rng, frozen)
+
+
+def _region(clocks: LazyClocks) -> frozenset[Site]:
+    if clocks.region is None:
+        raise ParameterError("clock family has no region (build it with sample_clocks)")
+    return clocks.region
 
 
 def _region_neighbors(x: Site, region: frozenset[Site]) -> list[Site]:
     """Sites of region at l1 distance 1 from x, probed at +-1 per coordinate."""
     probes = (x[:i] + (x[i] + s,) + x[i + 1 :] for i in range(len(x)) for s in (-1, 1))
     return [y for y in probes if y in region]
-
-
-def _ordered_neighbor_pairs(region: frozenset[Site]) -> list[tuple[Site, Site]]:
-    return [(x, y) for x in region for y in _region_neighbors(x, region)]
-
-
-def sample_clocks(
-    region: set[Site] | frozenset[Site], p: ProcessParams, rng: np.random.Generator
-) -> ClockBundle:
-    """Draw an independent clock bundle for every site and ordered pair."""
-    if not region:
-        raise DomainError("clock region must be non-empty")
-    frozen = frozenset(region)
-    if len({len(x) for x in frozen}) != 1:
-        raise DomainError("clock region mixes sites of different dimensions")
-    sites = sorted(frozen)
-    n = len(sites)
-    w = rng.standard_exponential(n)
-    y = rng.standard_exponential(n) / (1.0 + p.delta)
-    gam = rng.standard_exponential(n) / p.gamma
-    pairs = sorted(_ordered_neighbor_pairs(frozen))
-    u = rng.standard_exponential(len(pairs)) / p.lam
-    return ClockBundle(
-        recovery=dict(zip(sites, w.tolist())),
-        removal=dict(zip(sites, y.tolist())),
-        maturation=dict(zip(sites, gam.tolist())),
-        transmission=dict(zip(pairs, u.tolist())),
-        region=frozen,
-    )
 
 
 def _validate_path(path: Sequence[Site], region: frozenset[Site]) -> None:
@@ -103,26 +146,22 @@ def _validate_path(path: Sequence[Site], region: frozenset[Site]) -> None:
         raise DomainError(f"path leaves the clock region at {outside[0]}")
 
 
-def path_event(path: Sequence[Site], clocks: ClockBundle) -> bool:
+def path_event(path: Sequence[Site], clocks: LazyClocks) -> bool:
     """True iff the infection chain succeeds along the whole path.
 
     Requires U(x_i, x_{i+1}) < W(x_i) and Gam(x_{i+1}) < Y(x_{i+1}) for
-    every step i.
+    every step i; the reads stop at the first step that fails.
     """
-    _validate_path(path, clocks.region)
-    w = clocks.recovery
-    u = clocks.transmission
-    gam = clocks.maturation
-    yy = clocks.removal
-    for a, b in zip(path, path[1:]):
-        if not (u[(a, b)] < w[a] and gam[b] < yy[b]):
-            return False
-    return True
+    _validate_path(path, _region(clocks))
+    return all(
+        clocks.u(a, b) < clocks.w(a) and clocks.gam(b) < clocks.y(b)
+        for a, b in zip(path, path[1:])
+    )
 
 
 @dataclass
 class ClockTrajectory:
-    """Deterministic SIR trajectory generated by a clock bundle."""
+    """Deterministic SIR trajectory generated by a clock family."""
 
     events: list[tuple[float, Site, int]]  # (time, site, new state), time-ordered
     ever_fully_infected: set[Site]
@@ -130,22 +169,20 @@ class ClockTrajectory:
     final: SparseConfig
 
 
-def sir_from_clocks(clocks: ClockBundle, init: SparseConfig) -> ClockTrajectory:
+def sir_from_clocks(clocks: LazyClocks, init: SparseConfig) -> ClockTrajectory:
     """Run the SIR model as a deterministic function of the clocks.
 
     init may only contain states 0 and 2.  A site turning semi-infected
     at time s matures at s + Gam or is removed at s + Y, whichever clock
     is smaller; a site turning fully infected at s recovers at s + W and
     attempts each neighbor y at s + U(x, y), succeeding iff
-    U(x, y) < W(x) and y is still healthy at that moment.  Simultaneous
-    clock values (probability zero; possible under replay with crafted
-    bundles) are resolved in lexicographic site order.
+    U(x, y) < W(x) and y is still healthy at that moment.  So W and every
+    U(x, .) are read when x turns fully infected, Gam and Y when it turns
+    semi-infected, and no other clock is read.  Simultaneous clock values
+    (probability zero; possible with hand-filled clocks) are resolved in
+    lexicographic site order.
     """
-    region = clocks.region
-    w = clocks.recovery
-    yy = clocks.removal
-    gam = clocks.maturation
-    u = clocks.transmission
+    region = _region(clocks)
 
     state: dict[Site, int] = {}
     for x, s in init.states.items():
@@ -177,10 +214,12 @@ def sir_from_clocks(clocks: ClockBundle, init: SparseConfig) -> ClockTrajectory:
         state[x] = FULL
         ever_full.add(x)
         events.append((at, x, FULL))
-        push(at + w[x], x, _RECOVER)
+        wx = clocks.w(x)
+        push(at + wx, x, _RECOVER)
         for y in sorted(_region_neighbors(x, region)):
-            if u[(x, y)] < w[x]:
-                push(at + u[(x, y)], x, _ATTEMPT, y)
+            uxy = clocks.u(x, y)
+            if uxy < wx:
+                push(at + uxy, x, _ATTEMPT, y)
 
     for x in sorted(state):
         active += 1
@@ -194,10 +233,11 @@ def sir_from_clocks(clocks: ClockBundle, init: SparseConfig) -> ClockTrajectory:
                 state[y] = SEMI
                 active += 1
                 events.append((at, y, SEMI))
-                if gam[y] < yy[y]:
-                    push(at + gam[y], y, _MATURE)
+                gam, yy = clocks.gam(y), clocks.y(y)
+                if gam < yy:
+                    push(at + gam, y, _MATURE)
                 else:
-                    push(at + yy[y], y, _REMOVE)
+                    push(at + yy, y, _REMOVE)
         elif action == _MATURE:
             become_full(x, at)  # active count unchanged: 1 -> 2
         else:  # _REMOVE or _RECOVER
@@ -218,12 +258,13 @@ def sir_from_clocks(clocks: ClockBundle, init: SparseConfig) -> ClockTrajectory:
     )
 
 
-def containment_holds(path: Sequence[Site], clocks: ClockBundle) -> bool:
+def containment_holds(path: Sequence[Site], clocks: LazyClocks) -> bool:
     """Check: path event implies the endpoint was ever fully infected.
 
-    Runs the SIR trajectory from a single fully-infected origin and
-    returns True unless the path event occurred while the endpoint never
-    reached state 2.  Used as a zero-violation property check.
+    Runs the SIR trajectory from a single fully-infected origin on the
+    same clocks and returns True unless the path event occurred while the
+    endpoint never reached state 2.  Used as a zero-violation property
+    check.
     """
     if not path_event(path, clocks):
         return True
@@ -231,61 +272,3 @@ def containment_holds(path: Sequence[Site], clocks: ClockBundle) -> bool:
     init = SparseConfig(states={(0,) * d: FULL})
     traj = sir_from_clocks(clocks, init)
     return path[-1] in traj.ever_fully_infected
-
-
-class LazyClocks:
-    """Clock family drawn on first touch and memoized.
-
-    Drawing independent exponentials in data-dependent order leaves the
-    joint law unchanged, so estimators may explore a region lazily
-    without materializing every clock.
-
-    Draw contract: each clock read for the first time takes the next value
-    of ``rng.exponentials(rng)``, scaled by its rate, whatever its kind;
-    nothing is drawn before the first such read.  ``clear`` forgets every
-    memoized clock and keeps reading the same stream, so one instance
-    serves a run of independent replicas.
-    """
-
-    __slots__ = ("_p", "_draw", "_w", "_y", "_gam", "_u")
-
-    def __init__(self, p: ProcessParams, rng: np.random.Generator):
-        self._p = p
-        self._draw = exponentials(rng).__next__
-        self._w: dict[Site, float] = {}
-        self._y: dict[Site, float] = {}
-        self._gam: dict[Site, float] = {}
-        self._u: dict[tuple[Site, Site], float] = {}
-
-    def clear(self) -> None:
-        """Forget every memoized clock; later reads draw fresh values."""
-        for memo in (self._w, self._y, self._gam, self._u):
-            memo.clear()
-
-    def recovery(self, x: Site) -> float:
-        v = self._w.get(x)
-        if v is None:
-            v = self._draw()
-            self._w[x] = v
-        return v
-
-    def removal(self, x: Site) -> float:
-        v = self._y.get(x)
-        if v is None:
-            v = self._draw() / (1.0 + self._p.delta)
-            self._y[x] = v
-        return v
-
-    def maturation(self, x: Site) -> float:
-        v = self._gam.get(x)
-        if v is None:
-            v = self._draw() / self._p.gamma
-            self._gam[x] = v
-        return v
-
-    def transmission(self, x: Site, y: Site) -> float:
-        v = self._u.get((x, y))
-        if v is None:
-            v = self._draw() / self._p.lam
-            self._u[(x, y)] = v
-        return v

@@ -548,14 +548,12 @@ def estimate_union_direct(
                 nxt: list[Site] = []
                 accepted: set[Site] = set()
                 for x in level:
-                    wx = clocks.recovery(x)
+                    wx = clocks.w(x)
                     for axis in axes:
                         y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
                         if y in accepted:
                             continue
-                        if clocks.transmission(x, y) < wx and clocks.maturation(
-                            y
-                        ) < clocks.removal(y):
+                        if clocks.u(x, y) < wx and clocks.gam(y) < clocks.y(y):
                             accepted.add(y)
                             nxt.append(y)
                 if not nxt:

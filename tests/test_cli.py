@@ -361,6 +361,7 @@ def test_bad_list_flag_names_the_expected_format(tmp_path, args, message):
 # small enough that a run which misses the validation still ends quickly
 QUICK_BISECT = ["bisect", "--d", "2", "--bracket-replicas", "20", "--probe-replicas", "20",
                 "--horizon", "5", "--radius", "5"]
+QUICK_SIM = ["simulate", "--d", "2", "--lambda", "0.9", "--replicas", "2", "--horizon", "5"]
 
 
 @pytest.mark.parametrize(
@@ -379,6 +380,11 @@ QUICK_BISECT = ["bisect", "--d", "2", "--bracket-replicas", "20", "--probe-repli
         (["trend", "--d-list", "2,3", "--delta", "inf"], "delta must be finite, got inf"),
         (["sawbound", "--d", "12", "--theta", "1.5", "--gamma", "nan"], "gamma must be finite, got nan"),
         (["sawbound", "--d", "12", "--theta", "1.5", "--delta", "nan"], "delta must be finite, got nan"),
+        # an option the run would not use is refused, not silently dropped
+        (["sawbound", "--d", "12", "--lambda", "0.5", "--theta", "3"], "--lambda and --theta both set the rate"),
+        ([*QUICK_SIM, "--geometry", "torus", "--radius", "3"], "--radius applies only to --geometry box"),
+        ([*QUICK_SIM, "--side", "4"], "--side applies only to --geometry torus"),
+        ([*QUICK_SIM, "--geometry", "box", "--side", "4"], "--side applies only to --geometry torus"),
     ],
 )
 def test_non_finite_or_non_positive_settings_exit_2_naming_them(tmp_path, args, message):

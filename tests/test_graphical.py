@@ -4,18 +4,17 @@ import struct
 
 import pytest
 
-from twostage.engine import FULL, SparseConfig, simulate
+from twostage.engine import FULL, SEMI, SparseConfig, simulate
 from twostage.errors import DomainError, ParameterError
 from twostage.graphical import (
-    ClockBundle,
     LazyClocks,
-    _ordered_neighbor_pairs,
+    _region_neighbors,
     containment_holds,
     path_event,
     sample_clocks,
     sir_from_clocks,
 )
-from twostage.lattice import Box, LatticeGeometry, l1_norm, sub
+from twostage.lattice import Box, LatticeGeometry, l1_norm, origin, sub
 from twostage.params import ProcessParams
 from twostage.rng import exponentials, substream
 from twostage.saw import sample_walk
@@ -30,13 +29,17 @@ def _line_region(k):
 def test_sample_clocks_counts():
     region = _line_region(5)
     clocks = sample_clocks(region, P, substream(1))
+    for x in sorted(region):
+        clocks.w(x), clocks.y(x), clocks.gam(x)
+        for y in _region_neighbors(x, clocks.region):
+            clocks.u(x, y)
     assert len(clocks.recovery) == 5
     assert len(clocks.removal) == 5
     assert len(clocks.maturation) == 5
     # 4 adjacent pairs, both orders
     assert len(clocks.transmission) == 8
     assert all(v > 0 for v in clocks.recovery.values())
-    assert clocks.transmission[((0,), (1,))] != clocks.transmission[((1,), (0,))]
+    assert clocks.u((0,), (1,)) != clocks.u((1,), (0,))
 
 
 def test_sample_clocks_empty_region_rejected():
@@ -65,43 +68,64 @@ def test_probe_neighbors_match_brute_force_scan():
     for d in (1, 2, 3, 4):
         for _ in range(5):
             region = _irregular_region(d, rng)
-            assert sorted(_ordered_neighbor_pairs(region)) == sorted(_brute_pairs(region))
+            probed = [(x, y) for x in region for y in _region_neighbors(x, region)]
+            assert sorted(probed) == sorted(_brute_pairs(region))
 
 
-def test_sample_clocks_consumes_draws_in_brute_force_pair_order():
+def test_sample_clocks_draws_nothing_before_the_first_read():
     region = _irregular_region(3, substream(12))
-    clocks = sample_clocks(region, P, substream(13))
     rng = substream(13)
-    n = len(region)
-    for _ in range(3):  # recovery, removal, maturation
-        rng.standard_exponential(n)
-    pairs = sorted(_brute_pairs(region))
-    u = rng.standard_exponential(len(pairs)) / P.lam
-    assert list(clocks.transmission.items()) == list(zip(pairs, u.tolist()))
+    clocks = sample_clocks(region, P, rng)
+    assert rng.bit_generator.state == substream(13).bit_generator.state
+    assert not (clocks.recovery or clocks.removal or clocks.maturation or clocks.transmission)
+    # each first read, whatever its kind, takes the next exponential over
+    # its rate; a re-read returns the memo and draws nothing
+    draws = exponentials(substream(13))
+    want = {}
+    for x, y in sorted(_brute_pairs(region)):
+        reads = (
+            ("u", (x, y), P.lam), ("w", (x,), 1.0), ("gam", (y,), P.gamma), ("y", (y,), 1.0 + P.delta)
+        )
+        for kind, args, rate in reads:
+            got = getattr(clocks, kind)(*args)
+            if (kind, args) not in want:
+                want[(kind, args)] = next(draws) / rate
+            assert got == want[(kind, args)]
+    memos = (clocks.recovery, clocks.removal, clocks.maturation, clocks.transmission)
+    assert sum(map(len, memos)) == len(want)
 
 
 def test_clock_means():
-    # one long line gives many iid draws per bundle
+    # one long line gives many iid draws per family
     region = _line_region(500)
     w_sum = y_sum = 0.0
     n_bundles = 200
     for b in range(n_bundles):
         clocks = sample_clocks(region, ProcessParams(lam=1.0, gamma=1.0, delta=1.0), substream(3, b))
-        w_sum += sum(clocks.recovery.values())
-        y_sum += sum(clocks.removal.values())
+        w_sum += sum(clocks.w(x) for x in region)
+        y_sum += sum(clocks.y(x) for x in region)
     n = 500 * n_bundles
     assert abs(w_sum / n - 1.0) <= 3.0 / math.sqrt(n)  # Exp(1): sd = 1
     assert abs(y_sum / n - 0.5) <= 3.0 * 0.5 / math.sqrt(n)  # rate 1+delta = 2
 
 
+def _hand_clocks(region, recovery, removal, maturation, transmission):
+    # every clock a reader needs is prefilled, so nothing is ever drawn
+    clocks = LazyClocks(P, substream(0), region)
+    clocks.recovery.update(recovery)
+    clocks.removal.update(removal)
+    clocks.maturation.update(maturation)
+    clocks.transmission.update(transmission)
+    return clocks
+
+
 def _hand_bundle(u01, w0, gam1, y1):
-    region = frozenset({(0,), (1,)})
-    return ClockBundle(
+    return _hand_clocks(
+        {(0,), (1,)},
         recovery={(0,): w0, (1,): 9.9},
         removal={(0,): 9.9, (1,): y1},
         maturation={(0,): 9.9, (1,): gam1},
         transmission={((0,), (1,)): u01, ((1,), (0,)): 9.9},
-        region=region,
     )
 
 
@@ -129,8 +153,12 @@ def test_path_event_probability_closed_form():
     region = _line_region(4)
     n = 100000
     hits = 0
-    for i in range(n):
-        if path_event(path, sample_clocks(region, p, substream(4, i))):
+    # one family on one stream, cleared per draw: a fresh family's first
+    # read costs a whole buffer fill
+    clocks = sample_clocks(region, p, substream(4))
+    for _ in range(n):
+        clocks.clear()
+        if path_event(path, clocks):
             hits += 1
     step = (p.lam / (1 + p.lam)) * (p.gamma / (1 + p.gamma + p.delta))
     target = step ** 3
@@ -145,9 +173,9 @@ def test_comparison_probabilities():
     u_hits = gam_hits = 0
     for i in range(n):
         x, y = (i, 0), (i, 1)
-        if lazy.transmission(x, y) < lazy.recovery(x):
+        if lazy.u(x, y) < lazy.w(x):
             u_hits += 1
-        if lazy.maturation(y) < lazy.removal(y):
+        if lazy.gam(y) < lazy.y(y):
             gam_hits += 1
     pu = p.lam / (1 + p.lam)
     pg = p.gamma / (1 + p.gamma + p.delta)
@@ -161,10 +189,10 @@ def _lazy_clock_values(clocks, n_sites):
     out = []
     for j in range(n_sites):
         x, y = (j, 0), (j, 1)
-        out += [clocks.recovery(x), clocks.transmission(x, y), clocks.maturation(y), clocks.removal(y)]
+        out += [clocks.w(x), clocks.u(x, y), clocks.gam(y), clocks.y(y)]
     for j in range(0, n_sites, 7):
         x, y = (j, 0), (j, 1)
-        out += [clocks.removal(y), clocks.recovery(x), clocks.transmission(x, y), clocks.maturation(y)]
+        out += [clocks.y(y), clocks.w(x), clocks.u(x, y), clocks.gam(y)]
     return out
 
 
@@ -188,23 +216,16 @@ def test_exponentials_follow_one_unread_uniform_fill():
 
 def test_lazy_clocks_clear_forgets_clocks_and_keeps_the_stream():
     cleared = LazyClocks(P, substream(34))
-    first = [cleared.recovery((j,)) for j in range(10)]
-    assert [cleared.recovery((j,)) for j in range(10)] == first  # memoized
+    first = [cleared.w((j,)) for j in range(10)]
+    assert [cleared.w((j,)) for j in range(10)] == first  # memoized
     cleared.clear()
-    again = [cleared.recovery((j,)) for j in range(10)]
+    again = [cleared.w((j,)) for j in range(10)]
     straight = LazyClocks(P, substream(34))
-    assert [straight.recovery((j,)) for j in range(20)] == first + again
+    assert [straight.w((j,)) for j in range(20)] == first + again
 
 
 def test_sir_from_clocks_single_site():
-    region = frozenset({(0,)})
-    bundle = ClockBundle(
-        recovery={(0,): 0.73},
-        removal={(0,): 1.0},
-        maturation={(0,): 1.0},
-        transmission={},
-        region=region,
-    )
+    bundle = _hand_clocks({(0,)}, {(0,): 0.73}, {(0,): 1.0}, {(0,): 1.0}, {})
     traj = sir_from_clocks(bundle, SparseConfig(states={(0,): FULL}))
     assert traj.extinction_time == pytest.approx(0.73)
     assert traj.ever_fully_infected == {(0,)}
@@ -226,6 +247,35 @@ def test_sir_from_clocks_rejects_semi_or_recovered_init():
         sir_from_clocks(bundle, SparseConfig(states={(0,): 1}))
     with pytest.raises(DomainError):
         sir_from_clocks(bundle, SparseConfig(states={(0,): -1}))
+
+
+def test_sir_from_clocks_reads_only_the_clocks_it_reaches():
+    # W when a site turns fully infected, Gam and Y when it turns
+    # semi-infected, and no other site clock
+    p = ProcessParams(lam=2.0, gamma=1.5, delta=0.5)
+    region = frozenset(LatticeGeometry(3, Box(3)).sites())
+    init = SparseConfig(states={origin(3): FULL})
+    reached = 0
+    for i in range(20):
+        clocks = sample_clocks(region, p, substream(35, i))
+        traj = sir_from_clocks(clocks, init)
+        ever_semi = {x for _, x, state in traj.events if state == SEMI}
+        assert set(clocks.recovery) == traj.ever_fully_infected
+        assert set(clocks.maturation) == set(clocks.removal) == ever_semi
+        assert {x for x, _ in clocks.transmission} == traj.ever_fully_infected
+        reached += len(traj.ever_fully_infected) > 1
+    assert reached > 0
+
+
+def test_readers_need_a_region():
+    clocks = LazyClocks(P, substream(36))
+    path = [(0,), (1,)]
+    with pytest.raises(ParameterError, match="no region"):
+        path_event(path, clocks)
+    with pytest.raises(ParameterError, match="no region"):
+        containment_holds(path, clocks)
+    with pytest.raises(ParameterError, match="no region"):
+        sir_from_clocks(clocks, SparseConfig(states={(0,): FULL}))
 
 
 def test_clock_sir_matches_engine_in_law():
