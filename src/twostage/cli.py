@@ -117,22 +117,26 @@ def load_config(path: Optional[str], command: str) -> dict[str, str]:
     """
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise ParameterError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ParameterError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     dests = {OPTIONS[name].flag[2:]: name for name in _command_options(command)}
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            dest = dests.get(key.replace("_", "-"))
-            if dest is None:
-                raise ParameterError(f"{path}:{lineno}: {key!r} is not an option of {command}")
-            out[dest] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = dests.get(key.replace("_", "-"))
+        if dest is None:
+            raise ParameterError(f"{path}:{lineno}: {key!r} is not an option of {command}")
+        out[dest] = value
     return out
 
 

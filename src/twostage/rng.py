@@ -182,10 +182,7 @@ def event_draws(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
 def _fills(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
     """The pairs of event_draws, one iterator per fill."""
     bg = rng.bit_generator
-    # PCG64's advance(n) skips exactly n 64-bit outputs; Philox's counts
-    # four-output blocks.  Looked up here, not at import, because numpy
-    # loads numpy.random lazily.
-    if isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+    if _jumps_by_output(bg):
         replay = bg.state
         u = rng.random(_PEEK).tolist()  # one 64-bit output per double
         bg.advance(_DRAW_BUF - _PEEK)
@@ -198,13 +195,33 @@ def _fills(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
         yield zip(u, rng.standard_exponential(_DRAW_BUF).tolist())
 
 
-def exponentials(rng: np.random.Generator) -> Iterator[float]:
-    """Standard exponentials of rng, drawn _DRAW_BUF at a time.
+def _jumps_by_output(bg: np.random.BitGenerator) -> bool:
+    """Whether bg.advance(n) skips exactly n 64-bit outputs.
 
-    Nothing is drawn before the first value is requested.
+    True for PCG64; Philox's advance counts four-output blocks, and
+    MT19937 has none.  Looked up at the call, not at import, because
+    numpy loads numpy.random lazily.
     """
-    # drawn and never read: the exponentials have always followed one fill
-    # of uniforms, and this keeps pinned-seed streams where they are
-    rng.random(_DRAW_BUF)
+    return isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM))
+
+
+def exponentials(rng: np.random.Generator) -> Iterator[float]:
+    """Standard exponentials of rng, as if drawn _DRAW_BUF at a time.
+
+    The values are those that follow one fill of _DRAW_BUF uniforms,
+    which are never read: the exponentials have always come after such a
+    fill, and this keeps pinned-seed streams where they are.  On PCG64
+    the fill is a jump (one 64-bit output per uniform double), on other
+    generators a draw.  Most readers want a few values, so the first
+    window holds _PEEK exponentials and later ones _DRAW_BUF; numpy draws
+    an array's exponentials one after another from the stream, so the
+    windows give the same values as full fills.  Nothing is drawn before
+    the first value is requested.
+    """
+    if _jumps_by_output(rng.bit_generator):
+        rng.bit_generator.advance(_DRAW_BUF)
+    else:
+        rng.random(_DRAW_BUF)
+    yield from rng.standard_exponential(_PEEK).tolist()
     while True:
         yield from rng.standard_exponential(_DRAW_BUF).tolist()

@@ -35,12 +35,16 @@ K is a subset of F, since a matching edge starts at a site of S, so
 |F\\K| = |F| - |K|.
 
 The estimator keeps walks as (n+1) x d int64 arrays and counts F and K
-for a block of replica pairs with one band-sum join (``_join_counts``):
-equal sites have equal band sums, so V_i is compared only with the S_j
-of its level, at most ``period`` rows for walks of the class.  A block
+for a block of replica pairs with shifted row compares (``_join_counts``):
+a step changes one coordinate by +-1 and site i has band sum i // period,
+so V_i can equal S_j only for even j - i with |j - i| < period.  Each
+such offset is one compare of V's rows with S's shifted rows, O(n d) per
+pair, with no sort or hash: a single compare at period <= 2, three at
+periods 3 and 4, 2 * ((period - 1) // 2) + 1 in general.  A block
 holds about ``_BLOCK_ELEMENTS`` walk-site entries, which bounds its
-memory.  ``sample_walk`` and ``pair_stats`` wrap the same draw and join
-for callers that work with ``WalkPath`` objects.
+memory.  ``sample_walk`` and ``pair_stats`` wrap the same draw and
+compare for callers that work with ``WalkPath`` objects; ``pair_stats``
+rejects walks outside the class.
 """
 from __future__ import annotations
 
@@ -264,73 +268,41 @@ class PairStats:
     k_size: int
 
 
-def _equal_rows(
-    a: np.ndarray, a_rows: np.ndarray, b: np.ndarray, b_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs with a[a_rows[t]] == b[b_rows[t]], compared exactly.
-
-    One coordinate at a time, each compare keeping only the pairs that
-    agree so far, so no temporary is wider than one coordinate.
-    """
-    for c in range(a.shape[1]):
-        same = a[a_rows, c] == b[b_rows, c]
-        a_rows, b_rows = a_rows[same], b_rows[same]
-    return a_rows, b_rows
-
-
 def _join_counts(
     s: np.ndarray, v: np.ndarray, lengths: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|F| and |K| of B walk pairs at each length, by an exact band-sum join.
+    """|F| and |K| of B walk pairs at each length, by shifted row compares.
 
-    ``s`` and ``v`` hold pair b's walks S and V as int64 arrays of shape
-    (B, n + 1, d), n = max(lengths).  Returns two (B, len(lengths)) int
-    arrays.
+    ``s`` and ``v`` hold pair b's walks S and V, both of the structured
+    class, as int64 arrays of shape (B, n + 1, d), n = max(lengths).
+    Returns two (B, len(lengths)) int arrays.
 
-    Equal sites have equal band-coordinate sums, for any walk, so V_i
-    need only be compared with the S_j of its band sum.  Pair b's band
-    sums are shifted into a key range of their own, so the B pairs form
-    one flat join: S's rows are stably sorted by key, ``searchsorted``
-    finds each V_i's bucket, and bucket slot t is one vectorised exact
-    row compare (``_equal_rows``) for every V_i with more than t
-    candidates, keeping the least matching j; the edge (V_i, V_{i+1})
-    matches (S_j, S_{j+1}) when also V_{i+1} = S_{j+1}.  A bucket of a
-    structured walk holds at most ``period`` rows (site j has band sum
-    j // period), so the join costs at most ``period`` row compares per
-    index; arbitrary walks can cost up to n + 1 and get exact counts too.
+    Every step changes one coordinate by +-1, so site i's coordinate sum
+    has the parity of i, and site i's band sum is i // period; V_i = S_j
+    therefore needs j - i even and |j - i| < period.  V's rows are
+    compared with S's rows shifted by each such offset o, one vectorised
+    compare of the block per offset: only o = 0 at period <= 2
+    (3 <= d <= 20), and 2 * ((period - 1) // 2) + 1 offsets in general.
+    S is self-avoiding, so V_i matches at most one S_j, and the edge
+    (V_i, V_{i+1}) matches (S_j, S_{j+1}) exactly when sites i and i + 1
+    both match at the same offset.
 
-    Index i joins F at n = max(i, j) for its first site match j, and K at
-    n = max(i, j) + 1 for its first edge match j.
+    Index i joins F at n = max(i, j) for its site match j, and K at
+    n = max(i, j) + 1 for its edge match j.
     """
     pairs, rows, d = s.shape
-    n = rows - 1
-    band = drift_band(d)
-    s_sum = s[:, :, d - band :].sum(axis=2)
-    v_sum = v[:, :, d - band :].sum(axis=2)
-    low = min(s_sum.min(), v_sum.min())
-    shift = np.arange(pairs)[:, None] * (max(s_sum.max(), v_sum.max()) - low + 1) - low
-    s_key = (s_sum + shift).ravel()
-    v_key = (v_sum + shift).ravel()
-    s_flat = s.reshape(-1, d)
-    v_flat = v.reshape(-1, d)
-    order = np.argsort(s_key, kind="stable")
-    sorted_key = s_key[order]
-    first = np.searchsorted(sorted_key, v_key, side="left")
-    count = np.searchsorted(sorted_key, v_key, side="right") - first
-    site_j = np.full(v_key.size, rows)  # rows marks "no match"
-    edge_j = np.full(v_key.size, rows)
-    for t in range(int(count.max())):
-        i = np.flatnonzero(count > t)
-        j = order[first[i] + t]
-        j, i = _equal_rows(s_flat, j, v_flat, i)
-        local_j = j % rows
-        site_j[i] = np.minimum(site_j[i], local_j)
-        inner = (i % rows < n) & (local_j < n)
-        j, i = _equal_rows(s_flat, j[inner] + 1, v_flat, i[inner] + 1)
-        edge_j[i - 1] = np.minimum(edge_j[i - 1], j % rows - 1)
     index = np.arange(rows)
-    f_at = np.maximum(index, site_j.reshape(pairs, rows))
-    k_at = np.maximum(index, edge_j.reshape(pairs, rows)) + 1
+    f_at = np.full((pairs, rows), rows)  # rows marks "no match": beyond every length
+    k_at = np.full((pairs, rows), rows)
+    reach = 2 * ((drift_period(d) - 1) // 2)  # the largest even offset below period
+    for o in range(-reach, reach + 1, 2):
+        lo, hi = max(0, -o), min(rows, rows - o)  # V's rows i with S_{i+o} in range
+        if lo >= hi:
+            continue
+        same = (v[:, lo:hi] == s[:, lo + o : hi + o]).all(axis=2)
+        at = index[lo:hi] + max(0, o)
+        np.copyto(f_at[:, lo:hi], at, where=same)
+        np.copyto(k_at[:, lo : hi - 1], at[:-1] + 1, where=same[:, :-1] & same[:, 1:])
     f = np.stack([(f_at <= m).sum(axis=1) for m in lengths], axis=1)
     k = np.stack([(k_at <= m).sum(axis=1) for m in lengths], axis=1)
     return f, k
@@ -342,11 +314,13 @@ def pair_stats(s_walk: WalkPath, v_walk: WalkPath, lengths: Sequence[int]) -> li
     At length n, F collects indices i <= n with V_i among S's first n+1
     sites, and K collects indices i <= n-1 whose edge (V_i, V_{i+1})
     appears among S's first n edges.  Index 0 is always in F (shared
-    origin).  One band-sum join of the longest prefixes serves every
-    length (``_join_counts``, here with a block of one pair, the core the
-    estimator runs on its blocks): index i joins F at n = max(i, j) for
-    the first j with S_j = V_i, and joins K at n = max(i, j) + 1 for the
-    first j with (S_j, S_{j+1}) = (V_i, V_{i+1}).
+    origin).  One pass of shifted row compares over the longest prefixes
+    serves every length (``_join_counts``, here with a block of one pair,
+    the core the estimator runs on its blocks): index i joins F at
+    n = max(i, j) for the j with S_j = V_i, and joins K at n = max(i, j) + 1
+    for the j with (S_j, S_{j+1}) = (V_i, V_{i+1}).  Both walks must be of
+    the structured class (``WalkPath.is_valid``), which that compare relies
+    on; ``lengths`` must be non-empty and every length at least 1.
 
     K is a subset of F at every n: if i is in K, some j <= n-1 has
     (S_j, S_{j+1}) = (V_i, V_{i+1}), so V_i = S_j is among S's first n+1
@@ -354,9 +328,13 @@ def pair_stats(s_walk: WalkPath, v_walk: WalkPath, lengths: Sequence[int]) -> li
     """
     if s_walk.d != v_walk.d:
         raise ParameterError(f"walks must share a dimension, got d={s_walk.d} and d={v_walk.d}")
+    if not lengths or min(lengths) < 1:
+        raise ParameterError(f"lengths must be a non-empty list of lengths >= 1, got {list(lengths)}")
     n = max(lengths)
     if len(s_walk.sites) < n + 1 or len(v_walk.sites) < n + 1:
         raise ParameterError(f"both walks must have length >= {n}")
+    if not (s_walk.is_valid() and v_walk.is_valid()):
+        raise ParameterError("both walks must be in the structured class (WalkPath.is_valid)")
     s = np.array([s_walk.sites[: n + 1]], dtype=np.int64)
     v = np.array([v_walk.sites[: n + 1]], dtype=np.int64)
     f, k = _join_counts(s, v, lengths)
@@ -418,9 +396,10 @@ def estimate_survival_lower_bound(
     come in blocks of B pairs, B = _BLOCK_ELEMENTS // (2 (n_max + 1) d)
     but at least 1, so a block's walk arrays hold about _BLOCK_ELEMENTS
     int64 entries whatever the size: one draw call per block gives its
-    walks as arrays and one band-sum join (``_join_counts``) gives |F|
-    and |K| at all three checkpoints for every pair, at most ``period``
-    row compares per walk index.  Weights are summed in replica order, so
+    walks as arrays, and shifted row compares (``_join_counts``) give |F|
+    and |K| at all three checkpoints for every pair: one compare of the
+    block's V and S rows per even offset below ``period``, a single one at
+    3 <= d <= 20.  Weights are summed in replica order, so
     the result does not depend on B; ``pair_weight`` runs once per
     distinct (|F|, |K|).
 

@@ -376,9 +376,8 @@ def test_c10_no_survival_below_lower_bound():
 
 
 # ----------------------------------------------------------------------
-# 11. scaled critical-rate trend across dimensions (the long job)
+# 11. scaled critical-rate trend across dimensions (the headline job)
 # ----------------------------------------------------------------------
-@pytest.mark.slow
 def test_c11_scaled_threshold_trend():
     proxy = ProxySettings(horizon=60.0, active_cap=800, box_radius=20)
     rows = trend_study(

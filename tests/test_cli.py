@@ -328,6 +328,21 @@ def test_config_unknown_key_is_a_validation_error(tmp_path):
     assert not (tmp_path / "typo.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing"])
+def test_unreadable_config_is_a_validation_error(tmp_path, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not utf-8":
+        cfg.write_bytes(b"seed = 1\xff\n")
+    proc = cli_process(["ode", "--d", "3", "--lambda", "0.1", "--config", str(cfg)], tmp_path / "o.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert str(cfg) in proc.stderr and "Traceback" not in proc.stderr
+    if kind == "missing":
+        assert "config file not found" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

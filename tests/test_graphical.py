@@ -1,7 +1,10 @@
+import functools
 import hashlib
+import itertools
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from twostage.engine import FULL, SEMI, SparseConfig, simulate
@@ -206,12 +209,20 @@ def test_lazy_clock_stream_golden():
 
 
 def test_exponentials_follow_one_unread_uniform_fill():
-    draws = exponentials(substream(33))
-    got = [next(draws) for _ in range(8192 + 5)]
-    ref = substream(33)
-    ref.random(8192)
-    want = ref.standard_exponential(8192).tolist() + ref.standard_exponential(5).tolist()
-    assert got == want
+    # PCG64 jumps over the unread uniforms and every generator reads a
+    # first window of 64 values; both must give the values of a drawn
+    # uniform fill followed by full exponential fills
+    makers = [functools.partial(substream, 33)]
+    makers += [functools.partial(substream, 33, i) for i in range(30)]
+    makers += [
+        lambda: np.random.Generator(np.random.MT19937(33)),
+        lambda: np.random.Generator(np.random.Philox(33)),
+    ]
+    for make in makers:
+        ref = make()
+        ref.random(8192)
+        want = ref.standard_exponential(3 * 8192)[:20000].tolist()
+        assert list(itertools.islice(exponentials(make()), 20000)) == want
 
 
 def test_lazy_clocks_clear_forgets_clocks_and_keeps_the_stream():

@@ -200,30 +200,42 @@ def test_pair_stats_matches_quadratic_brute_force():
         assert pair_stats(a, b, lengths) == want
 
 
+def _walk(d, steps):
+    # the sites of a walk from the origin that takes steps (axis, +-1)
+    sites = [(0,) * d]
+    for axis, sign in steps:
+        cur = list(sites[-1])
+        cur[axis] += sign
+        sites.append(tuple(cur))
+    return sites
+
+
 def test_pair_stats_index_joins_at_its_first_match():
-    d = 10
-    lengths = [1, 2, 3, 4]
+    # hand-built class walks whose matches sit at offsets j - i = +-2,
+    # the only nonzero offsets at periods 3 (d=21) and 4 (d=55)
+    def check(d, s_sites, v_sites, want):
+        lengths = list(range(1, len(want) + 1))
+        for a, b in ((s_sites, v_sites), (v_sites, s_sites)):  # offsets o and -o
+            s, v = WalkPath.from_sites(d, a), WalkPath.from_sites(d, b)
+            assert s.is_valid() and v.is_valid()
+            assert pair_stats(s, v, lengths) == want
+            assert [_brute_pair_stats(a, b, n) for n in lengths] == want
+            # prefixes as short as one step, below the largest offset
+            for n in lengths:
+                short_s, short_v = WalkPath.from_sites(d, a[: n + 1]), WalkPath.from_sites(d, b[: n + 1])
+                assert pair_stats(short_s, short_v, [n]) == [want[n - 1]]
 
-    def site(*axes):
-        return tuple(1 if k in axes else 0 for k in range(d))
-
-    def check(s_sites, v_sites, want):
-        s, v = WalkPath.from_sites(d, s_sites), WalkPath.from_sites(d, v_sites)
-        assert pair_stats(s, v, lengths) == want
-        assert [_brute_pair_stats(s_sites, v_sites, n) for n in lengths] == want
-
-    # V_1 = S_3 and V_2 = S_4, and V's step 1 -> 2 runs along S's edge 3 -> 4
-    check(
-        [site(), site(0), site(0, 1), site(1), site(1, 2)],
-        [site(), site(1), site(1, 2), site(1, 2, 3), site(1, 2, 3, 4)],
-        [PairStats(1, 0), PairStats(1, 0), PairStats(2, 0), PairStats(3, 1)],
-    )
-    # an explicit S may revisit a site and an edge; the first visit counts
-    check(
-        [site(), site(0), site(), site(0), site(0, 1)],
-        [site(), site(0), site(0, 2), site(0, 2, 3), site(0, 2, 3, 4)],
-        [PairStats(2, 1)] * 4,
-    )
+    # d=21: V_3 = S_5, so index 3 joins F at n = 5, not 3
+    s = _walk(21, [(0, 1), (1, -1), (15, 1), (1, 1), (1, 1)])
+    v = _walk(21, [(1, 1), (0, 1), (15, 1), (2, 1), (3, 1)])
+    assert v[3] == s[5]
+    check(21, s, v, [PairStats(1, 0)] * 4 + [PairStats(2, 0)])
+    # d=55: V's edge 4 -> 5 runs along S's edge 6 -> 7, so index 4 joins
+    # F at n = 6 and K at n = 7
+    s = _walk(55, [(0, 1), (1, 1), (0, -1), (42, 1), (2, 1), (3, 1), (4, 1), (43, 1)])
+    v = _walk(55, [(3, 1), (2, 1), (1, 1), (42, 1), (4, 1), (1, -1), (5, 1), (44, 1)])
+    assert (v[4], v[5]) == (s[6], s[7])
+    check(55, s, v, [PairStats(1, 0)] * 5 + [PairStats(2, 0), PairStats(3, 1), PairStats(3, 1)])
 
 
 def _lattice_walk(d, n, rng):
@@ -233,34 +245,80 @@ def _lattice_walk(d, n, rng):
     return np.concatenate([np.zeros((1, d), dtype=np.int64), steps.cumsum(axis=0)])
 
 
-def test_block_join_matches_brute_force_on_arbitrary_walks():
-    # blocks of several pairs of unstructured d=3 walks; in every block
-    # of two or more pairs, pair 1's V is pair 0's S, which a join whose
-    # keys leaked across pairs would match
-    d, n = 3, 40
-    lengths = [5, 17, 40]
+def test_pair_stats_rejects_walks_outside_the_class():
+    # a free axis at a drift step (d=10), a revisit, and unstructured
+    # d=3 walks on any axis with either sign, whose sites have no fixed
+    # band sum; one bad walk of the two is enough
+    d = 10
+
+    def site(*axes):
+        return tuple(1 if k in axes else 0 for k in range(d))
+
+    inputs = [
+        ([site(), site(0), site(0, 1), site(1), site(1, 2)],
+         [site(), site(1), site(1, 2), site(1, 2, 3), site(1, 2, 3, 4)]),
+        ([site(), site(0), site(), site(0), site(0, 1)],
+         [site(), site(0), site(0, 2), site(0, 2, 3), site(0, 2, 3, 4)]),
+    ]
+    for s_sites, v_sites in inputs:
+        with pytest.raises(ParameterError, match="structured class"):
+            pair_stats(WalkPath.from_sites(d, s_sites), WalkPath.from_sites(d, v_sites), [1, 2, 3, 4])
     rng = substream(53)
-    revisits = 0
+    inside = sample_walk(3, 40, substream(53, 1))
     for _ in range(12):
-        pairs = 1 + int(rng.integers(6))
-        s = np.stack([_lattice_walk(d, n, rng) for _ in range(pairs)])
-        v = np.stack([_lattice_walk(d, n, rng) for _ in range(pairs)])
-        if pairs > 1:
-            v[1] = s[0]
-        f, k = saw._join_counts(s, v, lengths)
-        for b in range(pairs):
-            s_sites = list(map(tuple, s[b].tolist()))
-            v_sites = list(map(tuple, v[b].tolist()))
-            revisits += len(set(s_sites)) < n + 1
-            want = [_brute_pair_stats(s_sites, v_sites, m) for m in lengths]
-            assert [PairStats(a, c) for a, c in zip(f[b].tolist(), k[b].tolist())] == want
-    assert revisits > 10
+        outside = WalkPath.from_sites(3, list(map(tuple, _lattice_walk(3, 40, rng).tolist())))
+        for s, v in ((outside, outside), (outside, inside), (inside, outside)):
+            with pytest.raises(ParameterError, match="structured class"):
+                pair_stats(s, v, [5, 17, 40])
+
+
+def test_block_join_matches_brute_force_on_class_walks():
+    # blocks of several pairs at periods 1, 2, 3 and 4, walks as short as
+    # one step (below the largest offset, 2, at d=21 and 55); in every
+    # block of two or more pairs, pair 1's V is pair 0's S, which a
+    # compare that leaked across pairs would match
+    rng = substream(53)
+    collisions = 0
+    for d in (4, 12, 21, 55):
+        for n in (1, 2, 3, 40):
+            lengths = sorted({1, max(1, n // 2), n})
+            pairs = 1 + int(rng.integers(6))
+            rngs = [substream(54, d, n, r) for r in range(pairs)]
+            s, v = saw._draw_walks(d, n, rngs, 2)
+            if pairs > 1:
+                v[1] = s[0]
+            f, k = saw._join_counts(s, v, lengths)
+            for b in range(pairs):
+                s_sites = list(map(tuple, s[b].tolist()))
+                v_sites = list(map(tuple, v[b].tolist()))
+                want = [_brute_pair_stats(s_sites, v_sites, m) for m in lengths]
+                assert [PairStats(a, c) for a, c in zip(f[b].tolist(), k[b].tolist())] == want
+                collisions += want[-1].f_size > 1
+    assert collisions > 10
+
+
+@pytest.mark.parametrize("d", [4, 12, 25, 60])
+def test_drawn_walk_rows_have_the_parity_and_band_sum_of_their_index(d):
+    # the two facts the shifted compare relies on; d=4 and 12 take the
+    # one-call draw, d=25 and 60 step_walk
+    n = 60
+    walks = saw._draw_walks(d, n, [substream(56, d, r) for r in range(5)], 2)
+    index = np.arange(n + 1)
+    assert (walks.sum(axis=3) % 2 == index % 2).all()
+    assert (walks[..., d - drift_band(d) :].sum(axis=3) == index // drift_period(d)).all()
 
 
 def test_pair_stats_length_precondition():
     a = sample_walk(10, 5, substream(9, 0))
     with pytest.raises(ParameterError):
         pair_stats(a, a, [6])
+
+
+@pytest.mark.parametrize("lengths", [[], [0, -1], [0], [3, 0]])
+def test_pair_stats_needs_lengths_of_at_least_one(lengths):
+    a = sample_walk(10, 5, substream(9, 3))
+    with pytest.raises(ParameterError, match="lengths"):
+        pair_stats(a, a, lengths)
 
 
 def test_pair_stats_rejects_mixed_dimensions():
