@@ -23,8 +23,7 @@ from .engine import (
     project_linear,
     simulate,
     simulate_linear,
-    site_rates_contact,
-    site_rates_sir,
+    site_rates,
 )
 from .errors import (
     BracketError,
@@ -77,7 +76,6 @@ __all__ = [
     "scaled_limit",
     "simulate",
     "simulate_linear",
-    "site_rates_contact",
-    "site_rates_sir",
+    "site_rates",
     "solve_moments",
 ]

@@ -18,7 +18,8 @@ count, and are read only when neither a flag nor the config file gives
 the value; a value that is not an integer (or, for the worker count, is
 below 1) is a validation error.
 
-Exit codes: 0 success, 1 runtime failure, 2 validation error, 3
+Exit codes: 0 success, 1 runtime failure (also when the reader of
+the output closes it early, as ``| head`` does), 2 validation error, 3
 bracket or resource exhaustion.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
+from .engine import STATES
 from .errors import (
     BracketError,
     DomainError,
@@ -79,7 +81,7 @@ class Option(NamedTuple):
 
 
 OPTIONS = {
-    "kind": Option("--kind", str, "spread process", ("contact", "sir")),
+    "kind": Option("--kind", str, "spread process", tuple(STATES)),
     "d": Option("--d", int, "lattice dimension"),
     "d_list": Option("--d-list", _parse_ints, "comma-separated dimensions"),
     "lam": Option("--lambda", float, "infection rate"),
@@ -448,6 +450,8 @@ def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int
     d = res.required("d")
     p = _params(res)
     times = res.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
+    if not times:
+        raise ParameterError("--times must list at least one time")
     c1, c2 = eigenvalues(moment_matrix(d, p))
     meta = _base_meta("ode", res)
     meta.update(
@@ -622,6 +626,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except TwoStageError as exc:
         print(f"twostage: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so the
+        # flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("twostage: output closed before the run finished writing it", file=sys.stderr)
         return 1
     print(f"twostage: elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .engine import FULL, SparseConfig, simulate
+from .engine import FULL, SparseConfig, kind_states, simulate
 from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
@@ -231,11 +231,14 @@ def run_replicas(
     Each row is (survived, extinction_time, peak_active, event_count).
     Replica i uses the derived stream (seed, i), so the rows are identical
     for any worker count and any split of the indices into calls.
+    Raises ParameterError, before any worker starts, for an unknown kind
+    or for fewer than one replica or worker.
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    if kind not in ("contact", "sir"):
-        raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    kind_states(kind)
     # up to four chunks a worker, so a few slow replicas do not idle the rest
     chunk = math.ceil(replicas / (4 * workers))
     chunks = [

@@ -52,8 +52,8 @@ SEMI = 1
 FULL = 2
 RECOVERED = -1
 
-CONTACT_STATES = (HEALTHY, SEMI, FULL)
-SIR_STATES = (RECOVERED, HEALTHY, SEMI, FULL)
+# site states per process kind; build_exact enumerates configurations in this order
+STATES = {"contact": (HEALTHY, SEMI, FULL), "sir": (RECOVERED, HEALTHY, SEMI, FULL)}
 
 _ZERO_PAIR = (0, 0)
 
@@ -148,59 +148,42 @@ def all_ones_linear(g: LatticeGeometry) -> LinearConfig:
 
 
 # ----------------------------------------------------------------------
-# transition-rate tables
+# process kinds and the single-site rate table (engine.site_rates)
 # ----------------------------------------------------------------------
-def _infected_neighbor_count(cfg: SparseConfig, x: Site, g: LatticeGeometry) -> int:
-    states = cfg.states
-    return sum(1 for y in g.neighbors(x) if states.get(y, HEALTHY) == FULL)
+def kind_states(kind: str) -> tuple[int, ...]:
+    """The site states of process ``kind``, in ``STATES`` order."""
+    try:
+        return STATES[kind]
+    except (KeyError, TypeError):
+        names = " or ".join(map(repr, STATES))
+        raise ParameterError(f"kind must be {names}, got {kind!r}") from None
 
 
-def site_rates_contact(
-    cfg: SparseConfig, x: Site, p: ProcessParams, g: LatticeGeometry
+def site_rates(
+    kind: str, cfg: SparseConfig, x: Site, p: ProcessParams, g: LatticeGeometry
 ) -> list[tuple[int, float]]:
-    """Outgoing transitions (target state, rate) of site x, contact process.
+    """Outgoing transitions (target state, rate) of site x.
 
     Fully infected sites recover at rate 1; semi-infected sites mature at
     rate gamma or recover at rate 1 + delta; healthy sites become
     semi-infected at rate lam per fully-infected neighbor (omitted when
-    that count is zero).
+    that count is zero).  A recovery lands in 0 for the contact process
+    and in -1 for SIR, an absorbing state with no outgoing transitions.
     """
+    states = kind_states(kind)
     g.require(x)
     s = cfg.state(x)
+    if s not in states:
+        raise ParameterError(f"state {s} is not a {kind} state")
+    cured = RECOVERED if kind == "sir" else HEALTHY
     if s == FULL:
-        return [(HEALTHY, 1.0)]
+        return [(cured, 1.0)]
     if s == SEMI:
-        return [(FULL, p.gamma), (HEALTHY, 1.0 + p.delta)]
+        return [(FULL, p.gamma), (cured, 1.0 + p.delta)]
     if s == HEALTHY:
-        k = _infected_neighbor_count(cfg, x, g)
-        if k:
-            return [(SEMI, p.lam * k)]
-        return []
-    raise ParameterError(f"state {s} is not a contact-process state")
-
-
-def site_rates_sir(
-    cfg: SparseConfig, x: Site, p: ProcessParams, g: LatticeGeometry
-) -> list[tuple[int, float]]:
-    """Outgoing transitions of site x in the two-stage SIR model.
-
-    As the contact process, except recoveries land in the absorbing
-    state -1, which has no outgoing transitions.
-    """
-    g.require(x)
-    s = cfg.state(x)
-    if s == FULL:
-        return [(RECOVERED, 1.0)]
-    if s == SEMI:
-        return [(RECOVERED, 1.0 + p.delta), (FULL, p.gamma)]
-    if s == HEALTHY:
-        k = _infected_neighbor_count(cfg, x, g)
-        if k:
-            return [(SEMI, p.lam * k)]
-        return []
-    if s == RECOVERED:
-        return []
-    raise ParameterError(f"state {s} is not an SIR state")
+        k = sum(1 for y in g.neighbors(x) if cfg.state(y) == FULL)
+        return [(SEMI, p.lam * k)] if k else []
+    return []  # -1 is absorbing
 
 
 def project_linear(lc: LinearConfig) -> SparseConfig:
@@ -240,7 +223,7 @@ def simulate(
     survival under the proxy.
 
     Args:
-        kind: "contact" or "sir".
+        kind: a key of STATES, "contact" or "sir".
         init: initial configuration (finite support and time, usually 0).
         horizon: absolute stop time, > init.time.
         rng: replica-local generator.
@@ -257,8 +240,7 @@ def simulate(
         TrajectorySummary with the configuration at the stop time and,
         in ``snapshots``, one per sample time.
     """
-    if kind not in ("contact", "sir"):
-        raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
+    allowed = kind_states(kind)
     sir = kind == "sir"
     if not math.isfinite(init.time):
         raise ParameterError(f"init.time must be finite, got {init.time}")
@@ -279,7 +261,6 @@ def simulate(
                 f"sample_times must ascend strictly within ({init.time}, {horizon}), got {samples}"
             )
 
-    allowed = SIR_STATES if sir else CONTACT_STATES
     states: dict[int, int] = {}
     ones: list[int] = []
     twos: list[int] = []

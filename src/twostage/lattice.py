@@ -19,7 +19,7 @@ codes: the spread loop (``engine.simulate``) steps from a code to one
 neighbour by their arithmetic, and ``neighbor_codes``, which the pair
 loop (``engine.simulate_linear``) reads, builds whole tuples from them.
 ``neighbors`` stays coordinate-based, an independent reference for the
-rate tables and the tests.
+rate table ``engine.site_rates`` and the tests.
 """
 from __future__ import annotations
 

@@ -2,11 +2,11 @@
 
 For geometries small enough to enumerate every configuration, the full
 generator of the contact or SIR process is assembled directly from the
-single-site rate tables, and transient distributions are computed by
-uniformization: Poisson-weighted powers of the discrete kernel
-P = I + Q/Lambda, truncated once the remaining Poisson tail is below
-1e-10.  This gives the statistical reference the event-driven simulator
-is tested against, through an independent code path.
+single-site rate table ``engine.site_rates``, and transient distributions
+are computed by uniformization: Poisson-weighted powers of the discrete
+kernel P = I + Q/Lambda, truncated once the remaining Poisson tail is
+below 1e-10.  This gives the statistical reference the event-driven
+simulator is tested against, through an independent code path.
 
 A second validator generates random finite probability spaces and checks
 the weighted union lower bound against exhaustive enumeration.
@@ -22,9 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import (
-    CONTACT_STATES, FULL, SIR_STATES, SparseConfig, site_rates_contact, site_rates_sir
-)
+from .engine import FULL, STATES, SparseConfig, kind_states, site_rates
 from .errors import ParameterError, ResourceError
 from .lattice import Box, LatticeGeometry, Site, Torus, origin
 from .params import ProcessParams
@@ -67,18 +65,12 @@ class ExactChain:
 def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
     """Assemble the exact generator of the contact or SIR process on g.
 
-    Every entry comes from the single-site rate tables; all multi-site
-    jumps have rate zero.  Raises ResourceError when the state space
-    exceeds 12 000 configurations, the dense generator's memory guard.
+    Every entry comes from the single-site rate table ``engine.site_rates``;
+    all multi-site jumps have rate zero.  Raises ResourceError when the
+    state space exceeds 12 000 configurations, the dense generator's
+    memory guard.
     """
-    if kind == "contact":
-        values: tuple[int, ...] = CONTACT_STATES
-        rates = site_rates_contact
-    elif kind == "sir":
-        values = SIR_STATES
-        rates = site_rates_sir
-    else:
-        raise ParameterError(f"kind must be 'contact' or 'sir', got {kind!r}")
+    values = kind_states(kind)
     sites = list(g.sites())
     n_sites = len(sites)
     n_states = len(values) ** n_sites
@@ -94,7 +86,7 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
     for k, state in enumerate(states):
         cfg = SparseConfig(states={x: s for x, s in zip(sites, state) if s != 0})
         for pos, x in enumerate(sites):
-            for target, rate in rates(cfg, x, p, g):
+            for target, rate in site_rates(kind, cfg, x, p, g):
                 nxt = list(state)
                 nxt[pos] = target
                 j = index[tuple(nxt)]
@@ -218,8 +210,8 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     site, ring = LatticeGeometry(1, Box(0)), LatticeGeometry(1, Torus(3))
-    single = {kind: build_exact(kind, site, p) for kind in ("contact", "sir")}
-    triple = {kind: build_exact(kind, ring, p) for kind in ("contact", "sir")}
+    single = {kind: build_exact(kind, site, p) for kind in STATES}
+    triple = {kind: build_exact(kind, ring, p) for kind in STATES}
     times = [0.5, 1.0, 2.0]
     rows: list[tuple[str, bool, str]] = []
 
@@ -253,7 +245,7 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
 
     o = origin(1)
     init = SparseConfig(states={o: FULL})
-    for kind, ring_seed in (("contact", seed), ("sir", seed + replicas)):
+    for kind, ring_seed in zip(STATES, (seed, seed + replicas)):
         chain = triple[kind]
         # one run per replica to the last time; the earlier ones are snapshots
         counts = {t: {s: 0 for s in chain.state_values} for t in times}

@@ -28,8 +28,7 @@ from twostage.engine import (
     project_linear,
     simulate,
     simulate_linear,
-    site_rates_contact,
-    site_rates_sir,
+    site_rates,
 )
 from twostage.graphical import containment_holds, path_event, sample_clocks
 from twostage.lattice import LatticeGeometry, Torus, origin
@@ -84,11 +83,11 @@ def test_c01_rate_tables_exact():
             base[y] = FULL if i < k else filler[i - k]
         for own in (HEALTHY, SEMI, FULL, RECOVERED):
             sir_cfg = SparseConfig.from_sites({**base, o: own})
-            got = site_rates_sir(sir_cfg, o, p, g)
+            got = site_rates("sir", sir_cfg, o, p, g)
             if own == FULL:
                 want = [(RECOVERED, 1.0)]
             elif own == SEMI:
-                want = [(RECOVERED, 1.0 + p.delta), (FULL, p.gamma)]
+                want = [(FULL, p.gamma), (RECOVERED, 1.0 + p.delta)]
             elif own == RECOVERED:
                 want = []
             else:
@@ -100,7 +99,7 @@ def test_c01_rate_tables_exact():
                 continue
             contact_base = {y: (s if s != RECOVERED else HEALTHY) for y, s in base.items()}
             cfg = SparseConfig.from_sites({**contact_base, o: own})
-            got = site_rates_contact(cfg, o, p, g)
+            got = site_rates("contact", cfg, o, p, g)
             if own == FULL:
                 want = [(HEALTHY, 1.0)]
             elif own == SEMI:

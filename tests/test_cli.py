@@ -400,6 +400,7 @@ QUICK_SIM = ["simulate", "--d", "2", "--lambda", "0.9", "--replicas", "2", "--ho
         ([*QUICK_SIM, "--geometry", "torus", "--radius", "3"], "--radius applies only to --geometry box"),
         ([*QUICK_SIM, "--side", "4"], "--side applies only to --geometry torus"),
         ([*QUICK_SIM, "--geometry", "box", "--side", "4"], "--side applies only to --geometry torus"),
+        (["ode", "--d", "3", "--lambda", "0.1", "--times", ""], "--times must list at least one time"),
     ],
 )
 def test_non_finite_or_non_positive_settings_exit_2_naming_them(tmp_path, args, message):
@@ -434,6 +435,32 @@ def test_failed_sweep_writes_nothing_to_stdout():
     )
     assert proc.returncode == 2, proc.stderr
     assert "# tool=" not in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC, TWOSTAGE_THREADS="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # about 550 KB of rows, far more than a pipe buffers, so the run is
+    # still writing when the reader closes its end
+    args = ["simulate", "--d", "2", "--lambda", "0.9", "--replicas", "20000", "--horizon", "2",
+            "--radius", "5"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twostage", *args], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert first.startswith("# ")
+    assert proc.returncode == 1, stderr
+    assert "Traceback" not in stderr
+    assert stderr.splitlines() == ["twostage: output closed before the run finished writing it"]
 
 
 @pytest.mark.parametrize("replicas", ["0", "-3"])

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -331,4 +333,56 @@ def test_bisect_leaves_no_worker_running(monkeypatch):
             lambda_max=0.8, probe_replicas=50, bracket_replicas=50, proxy=FAST_PROXY, seed=7,
             workers=2,
         )
+    assert multiprocessing.active_children() == []
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail a block that runs longer than seconds, so it cannot stall the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        # the interrupted frames are not reported: some cannot be formatted
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NO_WORKER_CALLS = {
+    "run_replicas": lambda p, w: run_replicas("contact", 2, p, Box(10), 25.0, 150, 20, 1, w),
+    "batch": lambda p, w: estimate_survival("contact", 2, p, FAST_PROXY, 20, seed=1, workers=w),
+    # without the check a probe of this size with workers=-1 never advanced
+    "probe": lambda p, w: estimate_survival(
+        "contact", 2, p, FAST_PROXY, 2000, seed=1, workers=w, eps=0.05
+    ),
+    "bisect": lambda p, w: bisect_critical(
+        "contact", 2, 1.0, 1.0, probe_replicas=2000, bracket_replicas=2000, proxy=FAST_PROXY,
+        workers=w,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(NO_WORKER_CALLS))
+@pytest.mark.parametrize("workers", [0, -1])
+def test_estimators_need_a_worker(call, workers):
+    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
+    with time_limit(10), pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+        NO_WORKER_CALLS[call](p, workers)
+
+
+def test_unknown_kind_fails_before_any_worker_starts(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was forked for an unknown kind")
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", no_pool)
+    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
+    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
+        run_replicas("sis", 2, p, Box(10), 25.0, 150, 100, 1, workers=2)
     assert multiprocessing.active_children() == []

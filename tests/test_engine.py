@@ -17,8 +17,7 @@ from twostage.engine import (
     project_linear,
     simulate,
     simulate_linear,
-    site_rates_contact,
-    site_rates_sir,
+    site_rates,
 )
 from twostage.errors import DomainError, ParameterError
 from twostage.lattice import Box, LatticeGeometry, Torus, origin
@@ -38,13 +37,13 @@ def _config(mapping):
 def test_contact_rates_fully_infected(torus3):
     p = ProcessParams(lam=0.7, gamma=2.0, delta=0.5)
     cfg = _config({origin(3): FULL})
-    assert site_rates_contact(cfg, origin(3), p, torus3) == [(HEALTHY, 1.0)]
+    assert site_rates("contact", cfg, origin(3), p, torus3) == [(HEALTHY, 1.0)]
 
 
 def test_contact_rates_semi_infected(torus3):
     p = ProcessParams(lam=0.7, gamma=2.0, delta=0.5)
     cfg = _config({origin(3): SEMI})
-    assert site_rates_contact(cfg, origin(3), p, torus3) == [(FULL, 2.0), (HEALTHY, 1.5)]
+    assert site_rates("contact", cfg, origin(3), p, torus3) == [(FULL, 2.0), (HEALTHY, 1.5)]
 
 
 def test_contact_rates_healthy_counts_full_neighbors(torus3):
@@ -52,22 +51,46 @@ def test_contact_rates_healthy_counts_full_neighbors(torus3):
     o = origin(3)
     nbrs = torus3.neighbors(o)
     cfg = _config({nbrs[0]: FULL, nbrs[1]: FULL, nbrs[2]: FULL, nbrs[3]: SEMI})
-    rates = site_rates_contact(cfg, o, p, torus3)
+    rates = site_rates("contact", cfg, o, p, torus3)
     assert len(rates) == 1
     target, rate = rates[0]
     assert target == SEMI
     assert rate == p.lam * 3  # exactly the table value, zero tolerance
     # zero infected neighbors: empty rate list
-    assert site_rates_contact(_config({}), o, p, torus3) == []
+    assert site_rates("contact", _config({}), o, p, torus3) == []
 
 
 def test_sir_rates(torus3):
     p = ProcessParams(lam=0.7, gamma=2.0, delta=0.5)
     o = origin(3)
-    assert site_rates_sir(_config({o: FULL}), o, p, torus3) == [(RECOVERED, 1.0)]
-    assert site_rates_sir(_config({o: SEMI}), o, p, torus3) == [(RECOVERED, 1.5), (FULL, 2.0)]
-    assert site_rates_sir(_config({o: RECOVERED}), o, p, torus3) == []
-    assert site_rates_sir(_config({}), o, p, torus3) == []
+    assert site_rates("sir", _config({o: FULL}), o, p, torus3) == [(RECOVERED, 1.0)]
+    assert site_rates("sir", _config({o: SEMI}), o, p, torus3) == [(FULL, 2.0), (RECOVERED, 1.5)]
+    assert site_rates("sir", _config({o: RECOVERED}), o, p, torus3) == []
+    assert site_rates("sir", _config({}), o, p, torus3) == []
+
+
+def test_recovered_is_not_a_contact_state(torus3):
+    p = ProcessParams(lam=0.7, gamma=2.0, delta=0.5)
+    o = origin(3)
+    with pytest.raises(ParameterError, match="state -1 is not a contact state"):
+        site_rates("contact", _config({o: RECOVERED}), o, p, torus3)
+    with pytest.raises(ParameterError, match="state 3 is not a sir state"):
+        site_rates("sir", _config({o: 3}), o, p, torus3)
+
+
+UNKNOWN_KIND = "kind must be 'contact' or 'sir', got 'sis'"
+
+
+def test_unknown_kind_raises_the_one_message(torus3):
+    p = ProcessParams(lam=0.7, gamma=2.0, delta=0.5)
+    o = origin(3)
+    init = _config({o: FULL})
+    with pytest.raises(ParameterError, match=UNKNOWN_KIND):
+        site_rates("sis", init, o, p, torus3)
+    with pytest.raises(ParameterError, match=UNKNOWN_KIND):
+        simulate("sis", init, p, torus3, 1.0, substream(0, 0))
+    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got \\['sir'\\]"):
+        simulate(["sir"], init, p, torus3, 1.0, substream(0, 0))
 
 
 def test_project_linear():

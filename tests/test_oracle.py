@@ -33,6 +33,11 @@ def test_single_site_sir_recovered_row_is_zero():
     assert (chain.generator[rec] == 0).all()
 
 
+def test_unknown_kind_raises_the_one_message():
+    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
+        build_exact("sis", LatticeGeometry(1, Box(0)), P)
+
+
 def test_ring_generator_conservation():
     g = LatticeGeometry(1, Torus(3))
     for kind, n_states in (("contact", 27), ("sir", 64)):
