@@ -23,6 +23,7 @@ from .engine import (
     project_linear,
     simulate,
     simulate_linear,
+    simulate_many,
     site_rates,
 )
 from .errors import (
@@ -76,6 +77,7 @@ __all__ = [
     "scaled_limit",
     "simulate",
     "simulate_linear",
+    "simulate_many",
     "site_rates",
     "solve_moments",
 ]

@@ -104,7 +104,10 @@ OPTIONS = {
     "n_max": Option("--n-max", int, "largest walk length"),
     "suite": Option("--suite", str, "check suite (only 'all')"),
     "seed": Option("--seed", int, "master seed (env TWOSTAGE_SEED)"),
-    "threads": Option("--threads", int, "worker count (env TWOSTAGE_THREADS)"),
+    "threads": Option(
+        "--threads", int,
+        "worker count (env TWOSTAGE_THREADS); ode, sawbound and oracle-check run serially",
+    ),
     "config": Option("--config", str, "flat key = value config file"),
     "out": Option("--out", str, "output path ('-' for stdout)"),
     "fmt": Option("--format", str, "output format", ("csv", "jsonl")),

@@ -9,7 +9,15 @@ keeping the proven lower bound (1/2d)(1 + (1+delta)/gamma) testable as
 an inequality.  The still-active-at-horizon rule pushes the other way by
 counting slowly dying near-critical excursions; that over-count fades as
 the horizon grows and is mild at the defaults except in very low
-dimension (see the bisection docstring).  The empirical critical rate is
+dimension (see the bisection docstring).  Reaching the cap also counts
+as survival, so the cap pushes the estimate down as well: an excursion
+that reaches the cap and would later die counts as a survivor, and a
+smaller cap counts more of them.  ``ProxySettings.default_for`` drops
+the cap from 5000 to 2000 at d >= 10, so ``trend``'s step from d = 8 to
+d = 10 mixes a change of dimension with a change of proxy.  On one
+stream the run under a smaller cap c2 <= cap and horizon t2 <= horizon
+survives exactly when the full run survived, reached c2 active sites
+(``peak_active``) or died after t2.  The empirical critical rate is
 the crossing of the survival curve with a small level ``eps`` (default
 0.02), located by bisection from a doubling bracket; each probed rate
 gets its own derived seed so the answer does not depend on probe order
@@ -73,7 +81,8 @@ class ProxySettings:
 
     @classmethod
     def default_for(cls, d: int) -> "ProxySettings":
-        # memory guard: high dimensions get a smaller cap
+        # memory guard: high dimensions get a smaller cap, which pushes
+        # their estimate down (module docstring)
         return cls(active_cap=2000 if d >= 10 else 5000)
 
     def describe(self) -> str:

@@ -32,13 +32,18 @@ independent.  A replica's path up to time t does not depend on
 ``horizon``, which only ends the loop, so the state at each of
 ``simulate``'s ``sample_times`` s is the final state of the same stream
 run to horizon s.
+
+``simulate_many`` runs ``simulate`` over a sequence of streams with one
+setup: it checks the arguments and encodes ``init`` once, then yields
+one summary per stream, each equal to ``simulate`` on that stream.
+``simulate`` is its one-stream case, so the event loop exists once.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -110,7 +115,8 @@ class TrajectorySummary:
     _g: LatticeGeometry = field(repr=False)
     _codes: dict[int, int] = field(repr=False)
     _stop_time: float = field(repr=False)
-    _samples: list[tuple[dict[int, int], float]] = field(repr=False)
+    _sample_times: list[float] = field(repr=False)
+    _snaps: list[dict[int, int]] = field(repr=False)  # one code map per sample time
 
     def _decode(self, codes: dict[int, int], time: float) -> SparseConfig:
         decode = self._g.decode
@@ -128,13 +134,18 @@ class TrajectorySummary:
     @functools.cached_property
     def snapshots(self) -> list[SparseConfig]:
         """One configuration per sample time, stamped with that time."""
-        return [self._decode(codes, at) for codes, at in self._samples]
+        return [self._decode(codes, at) for codes, at in zip(self._snaps, self._sample_times)]
 
     def site_states(self, x: Site) -> list[int]:
         """State of site x at each sample time, then at the stop time."""
-        code = self._g.encode(x)
-        maps = [codes for codes, _ in self._samples] + [self._codes]
-        return [codes.get(code, HEALTHY) for codes in maps]
+        return self.code_states(self._g.encode(x))
+
+    def code_states(self, code: int) -> list[int]:
+        """``site_states`` of the site whose code (``LatticeGeometry.encode``) is ``code``.
+
+        A caller that reads one site of many replicas encodes it once.
+        """
+        return [codes.get(code, HEALTHY) for codes in self._snaps] + [self._codes.get(code, HEALTHY)]
 
 
 def all_full_config(g: LatticeGeometry) -> SparseConfig:
@@ -220,7 +231,7 @@ def simulate(
     The run terminates at extinction (no site in state 1 or 2), at the
     absolute time ``horizon``, or as soon as the active-site count
     reaches ``active_cap``; the latter two outcomes are reported as
-    survival under the proxy.
+    survival under the proxy.  This is ``simulate_many`` on one stream.
 
     Args:
         kind: a key of STATES, "contact" or "sir".
@@ -240,8 +251,34 @@ def simulate(
         TrajectorySummary with the configuration at the stop time and,
         in ``snapshots``, one per sample time.
     """
+    runs = simulate_many(
+        kind, init, p, g, horizon, (rng,), active_cap, track_ever_fully_infected,
+        sample_times=sample_times,
+    )
+    return next(runs)
+
+
+def simulate_many(
+    kind: str,
+    init: SparseConfig,
+    p: ProcessParams,
+    g: LatticeGeometry,
+    horizon: float,
+    rngs: Iterable[np.random.Generator],
+    active_cap: Optional[int] = None,
+    track_ever_fully_infected: bool = False,
+    *,
+    sample_times: Optional[list[float]] = None,
+) -> Iterator[TrajectorySummary]:
+    """``simulate`` once per generator of ``rngs``, with one setup.
+
+    The arguments are checked, raising as ``simulate`` does, and ``init``
+    is encoded when this is called, before any stream is read.  The
+    returned iterator runs stream k when summary k is asked for, so
+    ``rngs`` may itself be lazy; summary k equals ``simulate`` on
+    stream k.  For many short replicas this saves the per-call setup.
+    """
     allowed = kind_states(kind)
-    sir = kind == "sir"
     if not math.isfinite(init.time):
         raise ParameterError(f"init.time must be finite, got {init.time}")
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= init.time:
@@ -260,30 +297,48 @@ def simulate(
             raise ParameterError(
                 f"sample_times must ascend strictly within ({init.time}, {horizon}), got {samples}"
             )
+    twod = 2 * g.d
+    if not math.isfinite(p.lam * twod):
+        raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
 
     states: dict[int, int] = {}
-    ones: list[int] = []
-    twos: list[int] = []
     for x, s in init.states.items():
         if s == HEALTHY:
             continue
         if s not in allowed:
             raise ParameterError(f"state {s} at {x} invalid for kind {kind!r}")
-        code = g.encode(x)  # raises DomainError for sites outside the domain
-        states[code] = s
-        if s == SEMI:
-            ones.append(code)
-        elif s == FULL:
-            twos.append(code)
+        states[g.encode(x)] = s  # raises DomainError for sites outside the domain
+    return _runs(
+        kind == "sir", states, init.time, p, g, horizon, samples, active_cap,
+        track_ever_fully_infected, rngs,
+    )
 
+
+def _runs(
+    sir: bool,
+    init_states: dict[int, int],
+    t0: float,
+    p: ProcessParams,
+    g: LatticeGeometry,
+    horizon: float,
+    samples: list[float],
+    active_cap: Optional[int],
+    track: bool,
+    rngs: Iterable[np.random.Generator],
+) -> Iterator[TrajectorySummary]:
+    """The event loop of ``simulate_many``, one summary per stream."""
+    init_ones = [c for c, s in init_states.items() if s == SEMI]
+    init_twos = [c for c, s in init_states.items() if s == FULL]
     lam = p.lam
     gamma = p.gamma
     delta = p.delta
     twod = 2 * g.d
-    lam2d = lam * twod
     semi_tot = gamma + 1.0 + delta  # total outgoing rate of a semi-infected site
-
-    ever2: Optional[set[int]] = set(twos) if track_ever_fully_infected else None
+    full_tot = 1.0 + lam * twod  # total outgoing rate of a fully-infected site
+    cap = math.inf if active_cap is None else active_cap
+    first_stop = samples[0] if samples else horizon
+    n_samples = len(samples)
+    start_active = len(init_ones) + len(init_twos)
 
     # direction tables: see LatticeGeometry
     side = g.side
@@ -292,113 +347,116 @@ def simulate(
     step = g.dir_step
     wrap = g.dir_wrap
 
-    snaps: list[dict[int, int]] = []
-    stop = samples[0] if samples else horizon  # the next sample time, else the horizon
-    t = init.time
-    peak = len(ones) + len(twos)
-    events = 0
-    extinction_time: Optional[float] = None
+    for rng in rngs:
+        states = dict(init_states)
+        ones = init_ones[:]
+        twos = init_twos[:]
+        ever2: Optional[set[int]] = set(twos) if track else None
+        snaps: list[dict[int, int]] = []
+        stop = first_stop  # the next sample time, else the horizon
+        t = t0
+        peak = start_active
+        events = 0
+        extinction_time: Optional[float] = None
 
-    cap = math.inf if active_cap is None else active_cap
-    if peak == 0:
-        extinction_time = t
-    elif peak < cap:
-        n1 = len(ones)
-        n2 = len(twos)
-        full_tot = 1.0 + lam2d  # total outgoing rate of a fully-infected site
-        for u, e in event_draws(rng):
-            s1 = n1 * semi_tot
-            rate = n2 * full_tot + s1
-            t_next = t + e / rate
-            if t_next >= stop:
-                if t_next >= horizon:
-                    t = horizon
-                    break
-                while t_next >= stop:  # stop < horizon: a sample time
-                    snaps.append(dict(states))
-                    stop = samples[len(snaps)] if len(snaps) < len(samples) else horizon
-            t = t_next
-            u *= rate
-            if u < n2:
-                # recovery of a fully-infected site
-                i = int(u)
-                if i >= n2:
-                    i = n2 - 1
-                n2 -= 1
-                x = twos[i]
-                twos[i] = twos[n2]
-                twos.pop()
-                if sir:
-                    states[x] = RECOVERED
-                else:
-                    del states[x]
-                events += 1
-                if n2 + n1 == 0:
-                    extinction_time = t
-                    break
-            elif u < n2 + s1:
-                v = u - n2
-                i = int(v / semi_tot)
-                if i >= n1:
-                    i = n1 - 1
-                n1 -= 1
-                x = ones[i]
-                ones[i] = ones[n1]
-                ones.pop()
-                events += 1
-                if v - i * semi_tot < gamma:
-                    # maturation to fully infected
-                    states[x] = FULL
-                    twos.append(x)
-                    n2 += 1
-                    if ever2 is not None:
-                        ever2.add(x)
-                else:
-                    # recovery of a semi-infected site
+        if peak == 0:
+            extinction_time = t
+        elif peak < cap:
+            n1 = len(ones)
+            n2 = len(twos)
+            for u, e in event_draws(rng):
+                s1 = n1 * semi_tot
+                rate = n2 * full_tot + s1
+                t_next = t + e / rate
+                if t_next >= stop:
+                    if t_next >= horizon:
+                        t = horizon
+                        break
+                    while t_next >= stop:  # stop < horizon: a sample time
+                        snaps.append(dict(states))
+                        stop = samples[len(snaps)] if len(snaps) < n_samples else horizon
+                t = t_next
+                u *= rate
+                if u < n2:
+                    # recovery of a fully-infected site
+                    i = int(u)
+                    if i >= n2:
+                        i = n2 - 1
+                    n2 -= 1
+                    x = twos[i]
+                    twos[i] = twos[n2]
+                    twos.pop()
                     if sir:
                         states[x] = RECOVERED
                     else:
                         del states[x]
-                    if n1 + n2 == 0:
+                    events += 1
+                    if n2 + n1 == 0:
                         extinction_time = t
                         break
-            else:
-                # infection attempt: uniform (source, direction) thinning
-                k = int((u - n2 - s1) / lam)
-                if k >= n2 * twod:
-                    k = n2 * twod - 1
-                i, direction = divmod(k, twod)
-                x = twos[i]
-                if x // stride[direction] % side != edge[direction]:
-                    y = x + step[direction]
-                elif wrap is None:
-                    continue  # the attempt leaves the box
-                else:
-                    y = x + wrap[direction]
-                if y not in states:
-                    states[y] = SEMI
-                    ones.append(y)
-                    n1 += 1
+                elif u < n2 + s1:
+                    v = u - n2
+                    i = int(v / semi_tot)
+                    if i >= n1:
+                        i = n1 - 1
+                    n1 -= 1
+                    x = ones[i]
+                    ones[i] = ones[n1]
+                    ones.pop()
                     events += 1
-                    active = n1 + n2
-                    if active > peak:
-                        peak = active
-                    if active >= cap:
-                        break
+                    if v - i * semi_tot < gamma:
+                        # maturation to fully infected
+                        states[x] = FULL
+                        twos.append(x)
+                        n2 += 1
+                        if ever2 is not None:
+                            ever2.add(x)
+                    else:
+                        # recovery of a semi-infected site
+                        if sir:
+                            states[x] = RECOVERED
+                        else:
+                            del states[x]
+                        if n1 + n2 == 0:
+                            extinction_time = t
+                            break
+                else:
+                    # infection attempt: uniform (source, direction) thinning
+                    k = int((u - n2 - s1) / lam)
+                    if k >= n2 * twod:
+                        k = n2 * twod - 1
+                    i, direction = divmod(k, twod)
+                    x = twos[i]
+                    if x // stride[direction] % side != edge[direction]:
+                        y = x + step[direction]
+                    elif wrap is None:
+                        continue  # the attempt leaves the box
+                    else:
+                        y = x + wrap[direction]
+                    if y not in states:
+                        states[y] = SEMI
+                        ones.append(y)
+                        n1 += 1
+                        events += 1
+                        active = n1 + n2
+                        if active > peak:
+                            peak = active
+                        if active >= cap:
+                            break
 
-    # sample times after the stop see the final configuration
-    snaps += [states] * (len(samples) - len(snaps))
-    ever_sites = {g.decode(c) for c in ever2} if ever2 is not None else None
-    return TrajectorySummary(
-        extinction_time=extinction_time,
-        peak_active=peak,
-        event_count=events,
-        ever_fully_infected=ever_sites,
-        _g=g,
-        _codes=states,
-        _stop_time=t,
-        _samples=list(zip(snaps, samples)),
-    )
+        # sample times after the stop see the final configuration
+        snaps += [states] * (n_samples - len(snaps))
+        yield TrajectorySummary(
+            extinction_time=extinction_time,
+            peak_active=peak,
+            event_count=events,
+            ever_fully_infected={g.decode(c) for c in ever2} if ever2 is not None else None,
+            _g=g,
+            _codes=states,
+            _stop_time=t,
+            _sample_times=samples,
+            _snaps=snaps,
+        )
 
 
 # ----------------------------------------------------------------------

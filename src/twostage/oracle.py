@@ -5,8 +5,9 @@ generator of the contact or SIR process is assembled directly from the
 single-site rate table ``engine.site_rates``, and transient distributions
 are computed by uniformization: Poisson-weighted powers of the discrete
 kernel P = I + Q/Lambda, truncated once the remaining Poisson tail is
-below 1e-10.  This gives the statistical reference the event-driven
-simulator is tested against, through an independent code path.
+below 1e-10; a Poisson mean Lambda*t above 700 is refused up front.
+This gives the statistical reference the event-driven simulator is
+tested against, through an independent code path.
 
 A second validator generates random finite probability spaces and checks
 the weighted union lower bound against exhaustive enumeration.
@@ -18,18 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
-from .engine import FULL, STATES, SparseConfig, kind_states, site_rates
+from .engine import FULL, STATES, SparseConfig, kind_states, simulate_many, site_rates
 from .errors import ParameterError, ResourceError
 from .lattice import Box, LatticeGeometry, Site, Torus, origin
 from .params import ProcessParams
-from . import engine, rng, saw
+from . import rng, saw
 
 _MAX_DENSE = 12_000  # configurations; the dense generator is ~1 GB of float64
 _POISSON_TAIL = 1e-10
+# largest Poisson mean Lambda*t whose weight exp(-Lambda*t) is a normal float
+_MAX_POISSON_MEAN = 700.0
 
 
 @dataclass
@@ -105,7 +108,12 @@ def build_exact(kind: str, g: LatticeGeometry, p: ProcessParams) -> ExactChain:
 
 
 def transient(chain: ExactChain, init_index: int, t: float) -> np.ndarray:
-    """Distribution at time t from a point mass, by uniformization."""
+    """Distribution at time t from a point mass, by uniformization.
+
+    Raises ResourceError before any work when the Poisson mean Lambda*t
+    exceeds 700: beyond it exp(-Lambda*t) is no longer a normal float
+    (it underflows to 0 past about 745), so the Poisson weights vanish.
+    """
     if not (math.isfinite(t) and t >= 0):
         raise ParameterError(f"time must be finite and >= 0, got {t}")
     n = chain.generator.shape[0]
@@ -116,8 +124,13 @@ def transient(chain: ExactChain, init_index: int, t: float) -> np.ndarray:
     rate = float(-chain.generator.diagonal().min())
     if rate == 0.0 or t == 0.0:
         return pi
-    kernel = np.eye(n) + chain.generator / rate
     mu = rate * t
+    if not mu <= _MAX_POISSON_MEAN:
+        raise ResourceError(
+            f"uniformization needs Lambda*t <= {_MAX_POISSON_MEAN:g}, got {mu:.6g} at t={t}: "
+            "exp(-Lambda*t) underflows; use a smaller rate or time"
+        )
+    kernel = np.eye(n) + chain.generator / rate
     weight = np.exp(-mu)
     acc = weight * pi
     covered = weight
@@ -182,9 +195,11 @@ def brute_union_spaces(count: int, rng: np.random.Generator) -> UnionValidationR
         probs = [float(atom_p[m].sum()) for m in members]
         union_mask = np.logical_or.reduce(members)
         exact = float(atom_p[union_mask].sum())
-        pair = [
-            [float(atom_p[np.logical_and(mi, mj)].sum()) for mj in members] for mi in members
-        ]
+        # each intersection once; logical_and commutes, so the mirror is exact
+        pair = [[0.0] * n_events for _ in members]
+        for i, mi in enumerate(members):
+            for j in range(i, n_events):
+                pair[i][j] = pair[j][i] = float(atom_p[np.logical_and(mi, members[j])].sum())
         weights = rng.dirichlet(np.ones(n_events))
         weights = (weights / weights.sum()).tolist()
         bound = saw.union_lower_bound(probs, pair, weights)
@@ -210,9 +225,21 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     site, ring = LatticeGeometry(1, Box(0)), LatticeGeometry(1, Torus(3))
+    times = [0.5, 1.0, 2.0]
+    o = origin(1)
+    init = SparseConfig(states={o: FULL})
+    # the ring runs check their arguments here, before any chain is built;
+    # each reads the streams lazily, one run per replica to the last time
+    runs = {
+        kind: simulate_many(
+            kind, init, p, ring, times[-1],
+            map(rng.substream, repeat(ring_seed, replicas), range(replicas)),
+            sample_times=times[:-1],
+        )
+        for kind, ring_seed in zip(STATES, (seed, seed + replicas))
+    }
     single = {kind: build_exact(kind, site, p) for kind in STATES}
     triple = {kind: build_exact(kind, ring, p) for kind in STATES}
-    times = [0.5, 1.0, 2.0]
     rows: list[tuple[str, bool, str]] = []
 
     chain = single["contact"]
@@ -243,25 +270,20 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
     ]
     rows.append(("pure-death-closed-form", max(gaps) <= 1e-9, f"max |gap| {max(gaps):.2e}"))
 
-    o = origin(1)
-    init = SparseConfig(states={o: FULL})
-    for kind, ring_seed in zip(STATES, (seed, seed + replicas)):
-        chain = triple[kind]
-        # one run per replica to the last time; the earlier ones are snapshots
-        counts = {t: {s: 0 for s in chain.state_values} for t in times}
-        for i in range(replicas):
-            # module lookups, so perfbench's tracer sees its patched simulate and substream
-            out = engine.simulate(
-                kind, init, p, ring, times[-1], rng.substream(ring_seed, i), sample_times=times[:-1]
-            )
-            for t, state in zip(times, out.site_states(o)):
-                counts[t][state] += 1
+    code = ring.encode(o)
+    for kind, chain in triple.items():
+        # exact first, so a rate too large to uniformize fails before any run
         start = chain.config_index(init)
+        exact = [chain.marginal(transient(chain, start, t), o) for t in times]
+        counts = [{s: 0 for s in chain.state_values} for _ in times]
+        for out in runs[kind]:
+            for count, state in zip(counts, out.code_states(code)):
+                count[state] += 1
         zs = [
-            abs(counts[t][s] / replicas - prob)
+            abs(count[s] / replicas - prob)
             / math.sqrt(max(prob * (1.0 - prob), 1e-12) / replicas)
-            for t in times
-            for s, prob in chain.marginal(transient(chain, start, t), o).items()
+            for count, marginal in zip(counts, exact)
+            for s, prob in marginal.items()
         ]
         rows.append((f"marginals-ring-{kind}", max(zs) <= 4.0, f"max |z| {max(zs):.2f} (limit 4)"))
 

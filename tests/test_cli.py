@@ -12,7 +12,7 @@ import twostage
 SRC = os.path.dirname(os.path.dirname(twostage.__file__))
 
 
-def cli_process(args, out, env=None):
+def cli_process(args, out, env=None, timeout=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
     full_env.setdefault("TWOSTAGE_THREADS", "1")
@@ -23,6 +23,7 @@ def cli_process(args, out, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -471,6 +472,26 @@ def test_oracle_check_needs_a_replica(tmp_path, replicas):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args,code,message",
+    [
+        # exp(-Lambda*t) underflows: the uniformization is refused before any run
+        (["--lambda", "400"], 3, "twostage: uniformization needs Lambda*t <= 700, got 802 at t=1.0"),
+        (["--replicas", "1", "--lambda", "1e9"], 3, "twostage: uniformization needs Lambda*t <= 700"),
+        # lam * 2d overflows, which the simulator refuses before any chain is built
+        (["--lambda", "1e308"], 2, "twostage: invalid input: lam * 2d must be finite, got 1e+308 * 2"),
+    ],
+    ids=["lambda-400", "lambda-1e9", "lambda-1e308"],
+)
+def test_oracle_check_rates_too_large_fail_fast_in_one_line(tmp_path, args, code, message):
+    out = tmp_path / "oracle.csv"
+    proc = cli_process(["oracle-check", *args], out, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gamma", ["0", "-1"])
 def test_sawbound_theta_needs_positive_gamma(tmp_path, gamma):
     args = ["sawbound", "--d", "12", "--theta", "1.5", "--gamma", gamma, "--delta", "1"]
@@ -576,3 +597,12 @@ def test_help_exits_zero(command, capsys):
         build_parser().parse_args([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: twostage {command}")
+
+
+def test_threads_help_names_the_serial_commands(capsys):
+    from twostage.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["ode", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "ode, sawbound and oracle-check run serially" in text

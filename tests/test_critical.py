@@ -386,3 +386,23 @@ def test_unknown_kind_fails_before_any_worker_starts(monkeypatch):
     with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
         run_replicas("sis", 2, p, Box(10), 25.0, 150, 100, 1, workers=2)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind,rates", [("contact", (1.6, 1.0, 1.0)), ("sir", (1.6, 4.0, 0.5))])
+def test_cap_and_horizon_rows_predict_every_smaller_proxy(kind, rates):
+    # on one stream the path up to time t does not depend on the horizon,
+    # and the cap only ends the loop as the active count climbs by one
+    # per infection; so the (cap, horizon) row decides survival under any
+    # smaller cap c2 and horizon t2: survived, or peak >= c2, or died after t2
+    p = ProcessParams(*rates)
+    cap, horizon, n = 60, 20.0, 300
+    rows = run_replicas(kind, 2, p, Box(10), horizon, cap, n, 31)
+    reasons = set()
+    for c2, t2 in [(15, horizon), (cap, 5.0), (15, 5.0), (30, 10.0)]:
+        direct = run_replicas(kind, 2, p, Box(10), t2, c2, n, 31)
+        for (survived, ext, peak, _), (want, *_) in zip(rows, direct):
+            predicted = survived or peak >= c2 or ext > t2
+            assert predicted == want, (c2, t2, survived, ext, peak)
+            if want:
+                reasons.add("survived" if survived else "peak" if peak >= c2 else "late")
+    assert reasons == {"survived", "peak", "late"}

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from twostage.engine import (
     project_linear,
     simulate,
     simulate_linear,
+    simulate_many,
     site_rates,
 )
 from twostage.errors import DomainError, ParameterError
@@ -550,3 +553,108 @@ def test_final_is_decoded_only_when_read():
     assert out.event_count > 0 and calls == []
     assert out.final is out.final
     assert len(calls) == len(out.final.states) > 0
+
+
+# kind, d, domain, rates, horizon, active_cap, sample times, track ever-full, seed
+MANY_SETUPS = [
+    ("contact", 2, Box(4), (1.2, 1.0, 1.0), 6.0, None, None, False, 81),
+    ("sir", 2, Torus(5), (1.5, 1.5, 0.5), 6.0, None, [0.5, 2.0, 4.0], True, 82),
+    ("contact", 1, Torus(3), (0.8, 1.0, 1.0), 2.0, None, [0.5, 1.0], False, 83),
+    ("sir", 3, Box(3), (0.9, 2.0, 0.5), 20.0, 12, None, True, 84),
+    ("contact", 3, Torus(5), (0.7, 1.0, 1.0), 20.0, 25, None, True, 85),
+]
+
+
+def _mixed_start(kind, g):
+    """Origin full, one neighbour semi, one full and (for SIR) one recovered."""
+    o = origin(g.d)
+    nbrs = g.neighbors(o)
+    states = {o: FULL, nbrs[0]: SEMI, nbrs[1]: FULL}
+    if kind == "sir":
+        states[nbrs[2]] = RECOVERED
+    return _config(states)
+
+
+@pytest.mark.parametrize("kind,d,domain,rates,horizon,cap,times,track,seed", MANY_SETUPS)
+def test_simulate_many_equals_one_simulate_per_stream(kind, d, domain, rates, horizon, cap, times, track, seed):
+    p = ProcessParams(*rates)
+    g = LatticeGeometry(d, domain)
+    stops = Counter()
+    for init in (_config({origin(d): FULL}), _mixed_start(kind, g)):
+        n = 30
+        runs = simulate_many(
+            kind, init, p, g, horizon, (substream(seed, i) for i in range(n)), cap, track,
+            sample_times=times,
+        )
+        got = list(runs)
+        assert len(got) == n
+        for i, many in enumerate(got):
+            one = simulate(kind, init, p, g, horizon, substream(seed, i), cap, track, sample_times=times)
+            assert (many.event_count, many.extinction_time, many.peak_active) == (
+                one.event_count, one.extinction_time, one.peak_active
+            )
+            assert many.final == one.final
+            assert many.snapshots == one.snapshots
+            assert many.ever_fully_infected == one.ever_fully_infected
+            if not many.survived:
+                stops["extinct"] += 1
+            elif cap is not None and many.peak_active >= cap:
+                stops["cap"] += 1
+            else:
+                stops["horizon"] += 1
+    assert stops["extinct"] > 0
+    assert stops["cap" if cap is not None else "horizon"] > 0
+
+
+def test_simulate_many_reads_its_streams_lazily_in_order():
+    p = ProcessParams(lam=0.8, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Torus(3))
+    init = _config({(0,): FULL})
+    seen = []
+
+    def streams():
+        for i in range(3):
+            seen.append(i)
+            yield substream(9, i)
+
+    runs = simulate_many("contact", init, p, g, 2.0, streams())
+    assert seen == []
+    first = next(runs)
+    assert seen == [0]
+    assert first.event_count == simulate("contact", init, p, g, 2.0, substream(9, 0)).event_count
+    assert len(list(runs)) == 2 and seen == [0, 1, 2]
+    # the same generator twice reads on, as two simulate calls in a row do
+    rng_a, rng_b = substream(9, 5), substream(9, 5)
+    twice = list(simulate_many("contact", init, p, g, 2.0, [rng_a, rng_a]))
+    calls = [simulate("contact", init, p, g, 2.0, rng_b) for _ in range(2)]
+    assert [o.final for o in twice] == [o.final for o in calls]
+
+
+def test_simulate_many_raises_as_simulate_does_before_reading_a_stream():
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Box(2))
+    full = _config({(0,): FULL})
+
+    def untouched():
+        raise AssertionError("a stream was read")
+        yield  # pragma: no cover
+
+    bad = [
+        (("bogus", full, p, g, 1.0), {}),
+        (("contact", SparseConfig({(0,): FULL}, math.nan), p, g, 1.0), {}),
+        (("contact", full, p, g, 0.0), {}),
+        (("contact", full, p, g, 1.0), {"active_cap": 0}),
+        (("contact", full, p, g, 1.0), {"sample_times": []}),
+        (("contact", full, p, g, 1.0), {"sample_times": [0.5], "active_cap": 3}),
+        (("contact", _config({(0,): RECOVERED}), p, g, 1.0), {}),
+        (("contact", _config({(9,): FULL}), p, g, 1.0), {}),
+        # lam * 2d overflows to inf although lam itself is finite
+        (("contact", full, ProcessParams(lam=1e308, gamma=1.0, delta=1.0), g, 1.0), {}),
+    ]
+    for args, kwargs in bad:
+        with pytest.raises((ParameterError, DomainError)) as one:
+            simulate(*args, substream(0), **kwargs)
+        with pytest.raises(type(one.value), match=re.escape(str(one.value))):
+            simulate_many(*args, untouched(), **kwargs)
+    with pytest.raises(ParameterError, match=r"lam \* 2d must be finite, got 1e\+308 \* 2"):
+        simulate("contact", full, ProcessParams(lam=1e308, gamma=1.0, delta=1.0), g, 1.0, substream(0))

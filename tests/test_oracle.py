@@ -132,6 +132,18 @@ def test_transient_validations():
         chain.config_index({(0,): 7})
 
 
+def test_transient_refuses_a_poisson_mean_it_cannot_weigh():
+    # exp(-Lambda*t) underflows past ~745; the loop used to run ~Lambda*t
+    # steps and then report a failure to converge
+    chain = build_exact("contact", LatticeGeometry(1, Torus(3)), ProcessParams(400.0, 1.0, 1.0))
+    start = chain.config_index({(0,): FULL})
+    rate = float(-chain.generator.diagonal().min())
+    assert rate * 2.0 > 745
+    with pytest.raises(ResourceError, match=r"Lambda\*t <= 700, got 1604 at t=2"):
+        transient(chain, start, 2.0)
+    assert transient(chain, start, 600.0 / rate).sum() == pytest.approx(1.0)
+
+
 def test_brute_union_spaces_clean():
     report = brute_union_spaces(200, substream(72))
     assert report.trials == 200
