@@ -56,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .engine import FULL, SparseConfig, kind_states, simulate
 from .errors import BracketError, ParameterError
@@ -371,10 +371,11 @@ def bisect_critical(
     or all of them ("full").  The Wilson interval on the prefix is not
     adjusted for the curtailment.  All probes share one worker pool,
     which is gone when this returns or raises unless an enclosing
-    ``pool_scope`` owns it.  Raises ParameterError unless ``tol`` and
-    ``lambda_max`` are positive and finite and both replica counts are
-    at least 1, and BracketError when no bracket exists below
-    ``lambda_max`` (default 64x the lower bound).
+    ``pool_scope`` owns it.  Raises ParameterError, before any worker
+    starts, unless ``tol`` and ``lambda_max`` are positive and finite,
+    both replica counts and ``workers`` are at least 1 and the kind is
+    known, and BracketError when no bracket exists below ``lambda_max``
+    (default 64x the lower bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -385,6 +386,29 @@ def bisect_critical(
     there.  In d >= 2 at the default settings the absorbing-box bias
     dominates and estimates sit above the proven lower bound.
     """
+    run = _bisection(
+        kind, d, gamma, delta, eps, tol, probe_replicas, bracket_replicas, lambda_max, proxy,
+        seed, workers,
+    )
+    with pool_scope():
+        return run()
+
+
+def _bisection(
+    kind: str,
+    d: int,
+    gamma: float,
+    delta: float,
+    eps: float,
+    tol: Optional[float],
+    probe_replicas: int,
+    bracket_replicas: int,
+    lambda_max: Optional[float],
+    proxy: Optional[ProxySettings],
+    seed: int,
+    workers: int,
+) -> Callable[[], CriticalEstimate]:
+    """Check ``bisect_critical``'s inputs and return its bisection, to run later."""
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     for name, n in (("probe_replicas", probe_replicas), ("bracket_replicas", bracket_replicas)):
@@ -401,19 +425,22 @@ def bisect_critical(
         raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
     if proxy is None:
         proxy = ProxySettings.default_for(d)
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    kind_states(kind)
 
-    probes: list[ProbeRecord] = []
+    def run() -> CriticalEstimate:
+        probes: list[ProbeRecord] = []
 
-    def probe(lam: float, phase: str, replicas: int) -> float:
-        p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-        est = estimate_survival(
-            kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
-        )
-        stop = "early" if est.trials < replicas else "full"
-        probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
-        return est.p_hat
+        def probe(lam: float, phase: str, replicas: int) -> float:
+            p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
+            est = estimate_survival(
+                kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
+            )
+            stop = "early" if est.trials < replicas else "full"
+            probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
+            return est.p_hat
 
-    with pool_scope():
         lo = lb
         p_lo = probe(lo, "bracket-low", bracket_replicas)
         if p_lo >= eps:
@@ -443,20 +470,22 @@ def bisect_critical(
             else:
                 lo = mid
 
-    lambda_hat = 0.5 * (lo + hi)
-    return CriticalEstimate(
-        kind=kind,
-        d=d,
-        gamma=gamma,
-        delta=delta,
-        lambda_hat=lambda_hat,
-        scaled=2.0 * d * lambda_hat,
-        threshold_eps=eps,
-        resolution=tol,
-        proxy=proxy.describe(),
-        target=scaled_limit(gamma, delta),
-        probes=probes,
-    )
+        lambda_hat = 0.5 * (lo + hi)
+        return CriticalEstimate(
+            kind=kind,
+            d=d,
+            gamma=gamma,
+            delta=delta,
+            lambda_hat=lambda_hat,
+            scaled=2.0 * d * lambda_hat,
+            threshold_eps=eps,
+            resolution=tol,
+            proxy=proxy.describe(),
+            target=scaled_limit(gamma, delta),
+            probes=probes,
+        )
+
+    return run
 
 
 def trend_study(
@@ -474,27 +503,66 @@ def trend_study(
 ) -> list[CriticalEstimate]:
     """Scaled critical-rate sequence 2d*lambda_hat across dimensions.
 
-    One ``bisect_critical`` estimate per dimension, each carrying the
-    dimension-free target constant 1 + (1+delta)/gamma.  d_list must be
-    ascending.  ``proxy`` maps each dimension to its setting; None uses
-    ``ProxySettings.default_for(d)`` throughout.  All dimensions share
-    one worker pool, which is gone when this returns or raises.
+    One ``bisect_critical`` estimate per dimension, at seed
+    ``mix_seed(seed, d)``, each carrying the dimension-free target
+    constant 1 + (1+delta)/gamma.  d_list must be ascending.  ``proxy``
+    maps each dimension to its setting; None uses
+    ``ProxySettings.default_for(d)`` throughout.
+
+    Every dimension's inputs are checked before any worker starts.  Up
+    to ``workers`` bisections then run at the same time, taking the
+    dimensions in d order, and send their rounds to one shared worker
+    pool, so while one waits on a slow survivor another keeps the
+    workers busy.  The calling thread runs one of them and daemon
+    threads the rest; with one worker the dimensions run one after
+    another in the calling thread.  Each bisection is the one
+    ``bisect_critical`` runs alone, so the estimates do not depend on
+    ``workers``; they come back in d order.  A failing dimension does not
+    stop the others: all of them run, and then the error of the lowest
+    failing d is raised, the one a dimension-by-dimension loop would
+    raise.  The pool is gone when this returns or raises.
     """
+    # both already loaded with the package, so importing here costs nothing
+    import threading
+    from collections import deque
+
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
-    with pool_scope():
-        return [
-            bisect_critical(
-                kind,
-                d,
-                gamma,
-                delta,
-                eps=eps,
-                probe_replicas=probe_replicas,
-                bracket_replicas=bracket_replicas,
-                proxy=proxy[d] if proxy is not None else ProxySettings.default_for(d),
-                seed=mix_seed(seed, d),
-                workers=workers,
+    todo = deque(
+        enumerate(
+            _bisection(
+                kind, d, gamma, delta, eps, None, probe_replicas, bracket_replicas, None,
+                proxy[d] if proxy is not None else ProxySettings.default_for(d),
+                mix_seed(seed, d), workers,
             )
             for d in d_list
-        ]
+        )
+    )
+    outcomes: list = [None] * len(todo)
+
+    def work() -> None:
+        while True:
+            try:
+                i, run = todo.popleft()  # atomic: each dimension runs once
+            except IndexError:
+                return
+            try:
+                outcomes[i] = run()
+            except Exception as exc:  # raised below, once every dimension has run
+                outcomes[i] = exc
+
+    # the pool is forked here, before the threads start; they are daemons
+    # because one blocked on a pool that an interrupt terminated never
+    # returns, and must not keep the process alive
+    with pool_scope(workers):
+        helpers = min(workers, len(todo)) - 1
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(helpers)]
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

@@ -5,12 +5,17 @@ chunked parallel execution returns the same numbers as a serial run; the
 chunks are merged in submission order to keep reductions reproducible.
 
 Every multi-chunk map runs inside a ``pool_scope()`` and shares that
-scope's pool, which the first such map creates with its worker count.
-A map called outside any scope opens a scope of its own, so its pool
-lives for that one map; a caller that maps many batches (a bisection)
-opens one scope around all of them and forks one pool.  Leaving the
-outermost scope, normally or by an exception, terminates and joins the
-pool, so no worker outlives it.
+scope's one pool.  A map called outside any scope opens a scope of its
+own, so its pool lives for that one map; a caller that maps many
+batches (a bisection) opens one scope around all of them and forks one
+pool.  The first map that needs the pool creates it with its worker
+count, unless the scope was opened with a worker count, which forks the
+pool at once from the opening thread.  Threads started inside such a
+scope share the pool: their maps run concurrently on it, each getting
+its own chunks back in order.  Forking before those threads start keeps
+the fork in one thread and the pool creation free of races.  Leaving
+the outermost scope, normally or by an exception, terminates and joins
+the pool, so no worker outlives it.
 """
 from __future__ import annotations
 
@@ -19,14 +24,16 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 _scoped = False  # inside pool_scope()
-_pool = None  # the scope's pool, once a map has needed it
+_pool = None  # the scope's pool, once created
 
 
 @contextmanager
-def pool_scope() -> Iterator[None]:
-    """Share one lazily created pool among the maps inside the block.
+def pool_scope(workers: int = 1) -> Iterator[None]:
+    """Share one pool among the maps inside the block.
 
-    A nested scope joins the enclosing one.
+    With workers > 1 the outermost scope forks a pool of that many
+    workers on entry, from the calling thread; otherwise the first map
+    that needs a pool creates it.  A nested scope joins the enclosing one.
     """
     global _scoped, _pool
     if _scoped:
@@ -34,6 +41,8 @@ def pool_scope() -> Iterator[None]:
         return
     _scoped = True
     try:
+        if workers > 1:
+            _pool = multiprocessing.Pool(workers)
         yield
     finally:
         pool, _pool, _scoped = _pool, None, False

@@ -1,8 +1,10 @@
 import json
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,17 +14,21 @@ import twostage
 SRC = os.path.dirname(os.path.dirname(twostage.__file__))
 
 
-def cli_process(args, out, env=None, timeout=None):
+def cli_env(env=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
     full_env.setdefault("TWOSTAGE_THREADS", "1")
     if env:
         full_env.update(env)
+    return full_env
+
+
+def cli_process(args, out, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "twostage", *args, "--out", str(out)],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=cli_env(env),
         timeout=timeout,
     )
 
@@ -183,6 +189,45 @@ def test_trend_output_golden(tmp_path, threads):
     assert hashlib.sha256(out).hexdigest() == (
         "e284ec3f4a4369e39d69db4e43706ea5b62a8d64dbdf6882347cc77b4f1f2c4f"
     )
+
+
+def test_interrupted_trend_exits_promptly_and_leaves_no_process(tmp_path):
+    # the dimensions bisect in threads that share one pool; after Ctrl-C
+    # terminates the pool, a thread still waiting on it must not keep the
+    # process alive, and no worker may outlive the process
+    args = ["trend", "--d-list", "4,6,8", "--threads", "2", "--out", str(tmp_path / "trend.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twostage", *args],
+        env=cli_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    group = proc.pid
+    try:
+        time.sleep(1.0)
+        assert proc.poll() is None, "the trend ended before the interrupt"
+        os.killpg(group, signal.SIGINT)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            pytest.fail("still running 10 s after SIGINT")
+        assert proc.returncode != 0
+        # the reaped workers leave the group empty
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(group, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the trend outlived it"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import random
 import signal
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -24,6 +25,7 @@ from twostage.errors import BracketError, ParameterError
 from twostage.lattice import Box
 from twostage.meanfield import lower_bound_lambda
 from twostage.params import ProcessParams
+from twostage.rng import mix_seed
 
 FAST_PROXY = ProxySettings(horizon=25.0, active_cap=150, box_radius=10)
 
@@ -163,6 +165,61 @@ def test_trend_small_run_emits_target():
         assert r.target == pytest.approx(3.0)
         assert r.scaled == pytest.approx(2 * r.d * r.lambda_hat)
         assert r.probes
+
+
+TREND_KWARGS = dict(probe_replicas=100, bracket_replicas=200, seed=8)
+
+
+def test_trend_does_not_depend_on_workers_and_equals_lone_bisections():
+    proxies = {d: FAST_PROXY for d in (2, 3, 4)}
+    alone = [
+        bisect_critical(
+            "contact", d, 1.0, 1.0, probe_replicas=100, bracket_replicas=200, proxy=FAST_PROXY,
+            seed=mix_seed(8, d),
+        )
+        for d in (2, 3, 4)
+    ]
+    for workers in (1, 2, 3):
+        rows = trend_study(
+            "contact", [2, 3, 4], 1.0, 1.0, proxy=proxies, workers=workers, **TREND_KWARGS
+        )
+        # probes included: every round of every dimension is the lone run's
+        assert rows == alone, workers
+
+
+# an empty box: every replica dies, so no bracket exists below lambda_max
+NO_BRACKET = ProxySettings(horizon=25.0, active_cap=150, box_radius=0)
+# a horizon too short to die by: the lower bound already survives
+ALL_SURVIVE = ProxySettings(horizon=0.01, active_cap=150, box_radius=10)
+
+
+@pytest.mark.parametrize(
+    "proxies,failing",
+    [
+        # d=2 fails while d=3 is still bisecting
+        ({2: NO_BRACKET, 3: FAST_PROXY}, [2]),
+        # d=3 fails at its first probe, before d=2 has run out of rates
+        ({2: NO_BRACKET, 3: ALL_SURVIVE}, [2, 3]),
+    ],
+)
+def test_trend_raises_the_lowest_failing_dimension(proxies, failing):
+    errors = {}
+    for d in (2, 3):
+        try:
+            bisect_critical(
+                "contact", d, 1.0, 1.0, probe_replicas=100, bracket_replicas=200,
+                proxy=proxies[d], seed=mix_seed(8, d),
+            )
+        except BracketError as exc:
+            errors[d] = str(exc)
+    assert list(errors) == failing
+    assert errors[2].startswith("no rate with survival above eps")
+    threads = threading.active_count()
+    with time_limit(60), pytest.raises(BracketError) as raised:
+        trend_study("contact", [2, 3], 1.0, 1.0, proxy=proxies, workers=2, **TREND_KWARGS)
+    assert str(raised.value) == errors[2]
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -366,6 +423,10 @@ NO_WORKER_CALLS = {
         "contact", 2, 1.0, 1.0, probe_replicas=2000, bracket_replicas=2000, proxy=FAST_PROXY,
         workers=w,
     ),
+    "trend": lambda p, w: trend_study(
+        "contact", [2, 3], 1.0, 1.0, probe_replicas=2000, bracket_replicas=2000,
+        proxy={2: FAST_PROXY, 3: FAST_PROXY}, workers=w,
+    ),
 }
 
 
@@ -385,6 +446,11 @@ def test_unknown_kind_fails_before_any_worker_starts(monkeypatch):
     p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
     with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
         run_replicas("sis", 2, p, Box(10), 25.0, 150, 100, 1, workers=2)
+    # a trend checks every dimension before it forks the pool its threads share
+    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
+        trend_study("sis", [2, 3], 1.0, 1.0, proxy={2: FAST_PROXY, 3: FAST_PROXY}, workers=2)
+    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+        trend_study("contact", [0, 3], 1.0, 1.0, proxy={0: FAST_PROXY, 3: FAST_PROXY}, workers=2)
     assert multiprocessing.active_children() == []
 
 
