@@ -638,5 +638,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.close(devnull)
         print("twostage: output closed before the run finished writing it", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # the scopes and the output writer have cleaned up on the way out
+        print("twostage: interrupted", file=sys.stderr)
+        return 130
     print(f"twostage: elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

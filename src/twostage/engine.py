@@ -25,13 +25,14 @@ neighbour tuples; the pair loop reads whole tuples from
 
 Draw contract: each event reads one (uniform, exponential) pair of
 Python floats from rng.event_draws, so a replica's draws are a fixed
-function of the stream it is handed.  Where the generator is left
-afterwards is not part of the contract (see event_draws); a generator
-reused for a second call still reads no output twice, so the calls stay
-independent.  A replica's path up to time t does not depend on
-``horizon``, which only ends the loop, so the state at each of
-``simulate``'s ``sample_times`` s is the final state of the same stream
-run to horizon s.
+function of the stream it is handed; they are drawn in windows that
+grow from 64 pairs, so a short replica converts only the values of its
+first window.  Where the generator is left afterwards is not part of
+the contract (see event_draws); a generator reused for a second call
+still reads no output twice, so the calls stay independent.  A
+replica's path up to time t does not depend on ``horizon``, which only
+ends the loop, so the state at each of ``simulate``'s ``sample_times``
+s is the final state of the same stream run to horizon s.
 
 ``simulate_many`` runs ``simulate`` over a sequence of streams with one
 setup: it checks the arguments and encodes ``init`` once, then yields
@@ -300,6 +301,7 @@ def simulate_many(
     twod = 2 * g.d
     if not math.isfinite(p.lam * twod):
         raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
+    _check_attempts(max(1.0 + p.lam * twod, p.gamma + 1.0 + p.delta), horizon - init.time)
 
     states: dict[int, int] = {}
     for x, s in init.states.items():
@@ -312,6 +314,22 @@ def simulate_many(
         kind == "sir", states, init.time, p, g, horizon, samples, active_cap,
         track_ever_fully_infected, rngs,
     )
+
+
+def _check_attempts(site_rate: float, span: float) -> None:
+    """Refuse a run in which one active site alone makes 2**50 attempts.
+
+    ``site_rate`` is the largest total rate of one active site and
+    ``span`` the time the run may last.  2**50 steps of the event loop
+    take years; further on ``t + e / rate`` stops moving t, or the total
+    rate overflows to inf.  Checked before any stream is read.
+    """
+    attempts = site_rate * span
+    if attempts >= 2.0**50:
+        raise ParameterError(
+            f"one active site at total rate {site_rate:.6g} makes {attempts:.6g} attempts "
+            f"in {span:.6g} time units; a run cannot finish past 2**50"
+        )
 
 
 def _runs(
@@ -489,6 +507,8 @@ def simulate_linear(
         raise ParameterError(f"sample times must be finite, got {times}")
     if times[0] < init.time:
         raise ParameterError("sample times must not precede init.time")
+    bundle = 1.0 + p.delta + p.gamma + p.lam * (2 * g.d)  # total rate of one active site
+    _check_attempts(bundle, times[-1] - init.time)
 
     vals: dict[int, tuple[int, int]] = {}
     for x, (z, th) in init.values.items():
@@ -527,7 +547,6 @@ def simulate_linear(
     gamma = p.gamma
     delta = p.delta
     twod = 2 * g.d
-    bundle = 1.0 + delta + gamma + lam * twod
     gd_edge = 1.0 + delta + gamma  # lower edge of the lam rows
 
     out: list[LinearConfig] = []

@@ -15,11 +15,13 @@ scope share the pool: their maps run concurrently on it, each getting
 its own chunks back in order.  Forking before those threads start keeps
 the fork in one thread and the pool creation free of races.  Leaving
 the outermost scope, normally or by an exception, terminates and joins
-the pool, so no worker outlives it.
+the pool, so no worker outlives it.  The workers ignore SIGINT: a Ctrl-C
+reaches the whole process group, and only the parent handles it.
 """
 from __future__ import annotations
 
 import multiprocessing
+import signal
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -42,7 +44,7 @@ def pool_scope(workers: int = 1) -> Iterator[None]:
     _scoped = True
     try:
         if workers > 1:
-            _pool = multiprocessing.Pool(workers)
+            _pool = _new_pool(workers)
         yield
     finally:
         pool, _pool, _scoped = _pool, None, False
@@ -61,8 +63,13 @@ def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
         return [fn(c) for c in chunks]
     with pool_scope():
         if _pool is None:
-            _pool = multiprocessing.Pool(workers)
+            _pool = _new_pool(workers)
         return _pool.map(fn, chunks)
+
+
+def _new_pool(workers: int):
+    """A pool whose workers ignore Ctrl-C: the scope's exit terminates them."""
+    return multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
 
 
 def index_chunks(total: int, chunk_size: int, start: int = 0) -> list[tuple[int, int]]:

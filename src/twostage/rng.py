@@ -7,10 +7,11 @@ identical results regardless of worker count or call order, and any
 single replica can be replayed in isolation.
 
 Draws that are consumed one at a time come in fills of _DRAW_BUF values,
-which amortize numpy's per-call cost: ``event_draws`` iterates the
-(uniform, exponential) pairs that the event loops read, one per event,
-and ``exponentials`` yields the standard exponentials of a stream for
-lazily drawn clocks.
+read in the growing windows of _WINDOWS, which amortize numpy's
+per-call cost without converting values that are never read:
+``event_draws`` iterates the (uniform, exponential) pairs that the event
+loops read, one per event, and ``exponentials`` yields the standard
+exponentials of a stream for lazily drawn clocks.
 
 Block seeding.  A stream is ``PCG64`` seeded through numpy's
 ``SeedSequence`` hash of the entropy words (seed, keys).  Replica loops
@@ -154,45 +155,58 @@ def mix_seed(seed: int, *keys: int) -> int:
 
 
 _DRAW_BUF = 8192
-_PEEK = 64
+# the windows that tile each fill, in reading order: the first is what
+# most replicas read in all, and no window holds more than half a fill
+_WINDOWS = (64, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def event_draws(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
     """Endless (uniform, exponential) pairs of rng, one pair per event.
 
     The pairs are those of lockstep fills: _DRAW_BUF uniforms, then
-    _DRAW_BUF exponentials, pair i of a fill taking value i of each.  Most
-    replicas use a handful of events, so the first fill is peeked: its
-    first _PEEK uniforms, a jump over the rest of the uniforms, and its
-    first _PEEK exponentials.  Pair _PEEK replays the full first fill from
-    the saved state and goes on from its index _PEEK.  Only the
-    generator's state after a loop that stayed inside the peek differs
-    from lockstep fills (it sits past the peeked exponentials).
-    Generators whose jump is not counted in 64-bit outputs (MT19937,
-    Philox, ...) take full fills from the start.  Nothing is drawn before
-    the first pair is read.
+    _DRAW_BUF exponentials, pair i of a fill taking value i of each.
+    Most replicas use a handful of events, so each fill is read in the
+    growing windows of _WINDOWS, and a window is drawn when its first
+    pair is read.  A fill has two cursors: its uniforms start at the
+    fill's start state, its exponentials after a jump over the fill's
+    _DRAW_BUF uniforms, and the generator's state is saved and restored
+    around each window so that each kind is drawn from its own cursor.
+    The generator is left at the exponential cursor: after a fill read to
+    its end that is where lockstep fills leave it, and after a loop that
+    stops inside a fill it sits past the exponentials of the window that
+    holds the last pair read.  Generators whose jump is not counted in
+    64-bit outputs (MT19937, Philox, ...) take full fills.  Nothing is
+    drawn before the first pair is read.
 
-    The values are Python floats, converted from numpy's arrays a fill at
-    a time, so the loop does no numpy-scalar arithmetic; ``chain`` keeps
-    the step from one pair to the next in C.
+    The values are Python floats, converted from numpy's arrays a window
+    at a time, so the loop does no numpy-scalar arithmetic; ``chain``
+    keeps the step from one pair to the next in C.
     """
-    return itertools.chain.from_iterable(_fills(rng))
+    return itertools.chain.from_iterable(_windows(rng))
 
 
-def _fills(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
-    """The pairs of event_draws, one iterator per fill."""
+def _windows(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
+    """The pairs of event_draws, one iterator per window."""
     bg = rng.bit_generator
-    if _jumps_by_output(bg):
-        replay = bg.state
-        u = rng.random(_PEEK).tolist()  # one 64-bit output per double
-        bg.advance(_DRAW_BUF - _PEEK)
-        yield zip(u, rng.standard_exponential(_PEEK).tolist())
-        bg.state = replay
-        u = rng.random(_DRAW_BUF).tolist()
-        yield zip(u[_PEEK:], rng.standard_exponential(_DRAW_BUF).tolist()[_PEEK:])
+    if not _jumps_by_output(bg):
+        while True:
+            u = rng.random(_DRAW_BUF).tolist()
+            yield zip(u, rng.standard_exponential(_DRAW_BUF).tolist())
+    first = _WINDOWS[0]
     while True:
-        u = rng.random(_DRAW_BUF).tolist()
-        yield zip(u, rng.standard_exponential(_DRAW_BUF).tolist())
+        fill = bg.state
+        u = rng.random(first).tolist()  # one 64-bit output per double
+        bg.advance(_DRAW_BUF - first)
+        yield zip(u, rng.standard_exponential(first).tolist())
+        done = first
+        for size in _WINDOWS[1:]:
+            at_exponentials = bg.state
+            bg.state = fill
+            bg.advance(done)
+            u = rng.random(size).tolist()
+            bg.state = at_exponentials
+            yield zip(u, rng.standard_exponential(size).tolist())
+            done += size
 
 
 def _jumps_by_output(bg: np.random.BitGenerator) -> bool:
@@ -212,16 +226,16 @@ def exponentials(rng: np.random.Generator) -> Iterator[float]:
     which are never read: the exponentials have always come after such a
     fill, and this keeps pinned-seed streams where they are.  On PCG64
     the fill is a jump (one 64-bit output per uniform double), on other
-    generators a draw.  Most readers want a few values, so the first
-    window holds _PEEK exponentials and later ones _DRAW_BUF; numpy draws
-    an array's exponentials one after another from the stream, so the
-    windows give the same values as full fills.  Nothing is drawn before
-    the first value is requested.
+    generators a draw.  Most readers want a few values, so each fill of
+    exponentials is read in the windows of _WINDOWS, a window drawn when
+    its first value is requested; numpy draws an array's exponentials one
+    after another from the stream, so the windows give the same values
+    as full fills.  Nothing is drawn before the first value is requested.
     """
     if _jumps_by_output(rng.bit_generator):
         rng.bit_generator.advance(_DRAW_BUF)
     else:
         rng.random(_DRAW_BUF)
-    yield from rng.standard_exponential(_PEEK).tolist()
     while True:
-        yield from rng.standard_exponential(_DRAW_BUF).tolist()
+        for size in _WINDOWS:
+            yield from rng.standard_exponential(size).tolist()

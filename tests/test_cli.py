@@ -194,13 +194,17 @@ def test_trend_output_golden(tmp_path, threads):
 def test_interrupted_trend_exits_promptly_and_leaves_no_process(tmp_path):
     # the dimensions bisect in threads that share one pool; after Ctrl-C
     # terminates the pool, a thread still waiting on it must not keep the
-    # process alive, and no worker may outlive the process
-    args = ["trend", "--d-list", "4,6,8", "--threads", "2", "--out", str(tmp_path / "trend.csv")]
+    # process alive, and no worker may outlive the process.  The workers
+    # ignore the SIGINT that reaches the whole group, and the parent says
+    # so in one line and exits 130
+    out = tmp_path / "trend.csv"
+    args = ["trend", "--d-list", "4,6,8", "--threads", "2", "--out", str(out)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "twostage", *args],
         env=cli_env(),
         stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
         start_new_session=True,
     )
     group = proc.pid
@@ -209,10 +213,12 @@ def test_interrupted_trend_exits_promptly_and_leaves_no_process(tmp_path):
         assert proc.poll() is None, "the trend ended before the interrupt"
         os.killpg(group, signal.SIGINT)
         try:
-            proc.wait(timeout=10)
+            _, stderr = proc.communicate(timeout=10)
         except subprocess.TimeoutExpired:
             pytest.fail("still running 10 s after SIGINT")
-        assert proc.returncode != 0
+        assert proc.returncode == 130, stderr
+        assert stderr.splitlines() == ["twostage: interrupted"]
+        assert list(tmp_path.iterdir()) == []
         # the reaped workers leave the group empty
         deadline = time.monotonic() + 5
         while True:
@@ -534,6 +540,21 @@ def test_oracle_check_rates_too_large_fail_fast_in_one_line(tmp_path, args, code
     assert proc.returncode == code, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(message)
+    assert not out.exists()
+
+
+def test_simulate_at_a_rate_no_run_can_outlast_fails_fast_in_one_line(tmp_path):
+    # lam * 2d = 1e308 is finite, but a run at that rate never reaches the
+    # horizon: it is refused before any replica starts
+    out = tmp_path / "sim.csv"
+    args = [
+        "simulate", "--kind", "contact", "--d", "1", "--lambda", "5e307", "--geometry", "torus",
+        "--side", "3", "--horizon", "1", "--replicas", "1",
+    ]
+    proc = cli_process(args, out, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("twostage: invalid input: one active site at total rate 1e+308")
     assert not out.exists()
 
 

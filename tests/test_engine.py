@@ -302,8 +302,9 @@ def test_all_full_config_covers_domain():
 # d = 2 torus rows date from memoized neighbour tuples, before the loop
 # computed neighbours from per-direction strides.  The comment on
 # each row is the number of (uniform, exponential) pairs the replica
-# reads: up to 64 stays inside the peeked first fill, more replays it,
-# more than 8192 goes on into the second fill.
+# reads: up to 64 stays inside the first window of the first fill, each
+# later window of 64, 128, ..., 4096 pairs is drawn when it is reached,
+# and more than 8192 goes on into the second fill.
 SPREAD_SETUPS = {
     # name: (d, domain, (lam, gamma, delta), horizon)
     "ring": (1, Torus(3), (0.8, 1.0, 1.0), 2.0),
@@ -407,23 +408,28 @@ def test_linear_draws_are_fixed_by_the_stream(setup, seed, replica, finals):
 
 
 def test_peek_is_the_prefix_of_the_full_fill_and_replays_it():
+    # the first window is the 64-pair peek; slices of 5 values on each side
+    # of every window edge, and the rest between them, read three fills
+    # whose pairs and end states are those of lockstep fills
+    edges = [0, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
+    cuts = {f * 8192 + e + k for f in range(3) for e in edges[1:] for k in (-5, 0, 5)}
+    cuts = sorted({0} | {c for c in cuts if c <= 3 * 8192})
     for i in range(50):
         full = substream(53, i)
         lockstep = []
-        for _ in range(2):
+        for _ in range(3):
             u = full.random(8192)
             lockstep += zip(u.tolist(), full.standard_exponential(8192).tolist())
         rng = substream(53, i)
         before = rng.bit_generator.state
         draws = event_draws(rng)
         assert rng.bit_generator.state == before  # nothing is drawn until a pair is read
-        peek = list(itertools.islice(draws, 64))
-        assert peek == lockstep[:64]
-        assert all(type(x) is float for x in peek[0])
-        assert list(itertools.islice(draws, 8192 - 64)) == lockstep[64:8192]
-        assert rng.bit_generator.state == _lockstep_state(53, i, 1)
-        assert list(itertools.islice(draws, 8192)) == lockstep[8192:]
-        assert rng.bit_generator.state == _lockstep_state(53, i, 2)
+        for lo, hi in zip(cuts, cuts[1:]):
+            got = list(itertools.islice(draws, hi - lo))
+            assert got == lockstep[lo:hi], (i, lo, hi)
+            assert all(type(x) is float for pair in got for x in pair)
+            if hi % 8192 == 0:
+                assert rng.bit_generator.state == _lockstep_state(53, i, hi // 8192)
 
 
 def test_state_after_a_peeked_replica_is_past_every_output_it_read():
@@ -439,21 +445,31 @@ def test_state_after_a_peeked_replica_is_past_every_output_it_read():
 
 
 @pytest.mark.parametrize(
-    "kind,setup,seed,replica,fills",
+    "kind,setup,seed,replica,fills,exponentials",
     [
-        ("contact", "box2", 43, 1, 1),
-        ("sir", "box2-sir", 44, 0, 1),
-        ("contact", "box2-long", 45, 0, 3),
-        ("linear", "box2", 47, 0, 1),
+        ("contact", "box2", 43, 1, 0, 128),  # 65 pairs: the second window
+        ("sir", "box2-sir", 44, 0, 0, 128),  # 124 pairs: the second window
+        ("linear", "box2", 47, 0, 0, 256),  # 165 pairs: the third window
+        ("contact", "box2-long", 45, 0, 3, 0),  # 20796 pairs: its third fill read to the end
     ],
 )
-def test_state_after_outgrowing_the_peek_is_lockstep(kind, setup, seed, replica, fills):
+def test_state_after_a_replica_is_past_the_window_of_its_last_pair(
+    kind, setup, seed, replica, fills, exponentials
+):
+    # whole fills leave the generator where lockstep fills do; inside a
+    # fill it sits past the fill's uniforms and the exponentials up to the
+    # end of the window that holds the last pair read
     rng = substream(seed, replica)
     if kind == "linear":
         _linear(setup, rng)
     else:
         _spread(kind, setup, rng)
-    assert rng.bit_generator.state == _lockstep_state(seed, replica, fills)
+    expected = substream(seed, replica)
+    expected.bit_generator.state = _lockstep_state(seed, replica, fills)
+    if exponentials:
+        expected.bit_generator.advance(8192)
+        expected.standard_exponential(exponentials)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -658,3 +674,40 @@ def test_simulate_many_raises_as_simulate_does_before_reading_a_stream():
             simulate_many(*args, untouched(), **kwargs)
     with pytest.raises(ParameterError, match=r"lam \* 2d must be finite, got 1e\+308 \* 2"):
         simulate("contact", full, ProcessParams(lam=1e308, gamma=1.0, delta=1.0), g, 1.0, substream(0))
+
+
+@pytest.mark.parametrize(
+    "kind,rates,span",
+    [
+        # lam * 2d is finite, but t + e / rate would stop moving t
+        ("contact", (5e307, 1.0, 1.0), 1.0),
+        # the semi-infected rate gamma + 1 + delta alone reaches the bound
+        ("sir", (0.5, 2.0**50, 0.5), 1.0),
+        # both site rates are 2, so 2**49 time units make exactly 2**50 attempts
+        ("contact", (0.5, 0.5, 0.5), 2.0**49),
+        ("linear", (5e307, 1.0, 1.0), 1.0),
+        # 1 + delta + gamma + lam * 2d = 4
+        ("linear", (0.5, 1.0, 1.0), 2.0**48),
+    ],
+)
+def test_a_run_with_2_to_the_50_attempts_per_site_is_refused_before_a_draw(kind, rates, span):
+    p = ProcessParams(*rates)
+    g = LatticeGeometry(1, Torus(3))
+    rng = substream(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError, match=r"attempts in .* time units; a run cannot finish past 2\*\*50"):
+        if kind == "linear":
+            simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, [span], rng)
+        else:
+            simulate(kind, _config({(0,): FULL}), p, g, span, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_a_run_just_inside_the_attempt_bound_runs():
+    # 3 * 2**48 and 4 * 2**47 attempts: the ring dies out long before the end
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Torus(3))
+    out = simulate("contact", _config({(0,): FULL}), p, g, 2.0**48, substream(0))
+    assert not out.survived
+    snaps = simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, [2.0**47], substream(0))
+    assert snaps[0].time == 2.0**47

@@ -157,7 +157,7 @@ def test_path_event_probability_closed_form():
     n = 100000
     hits = 0
     # one family on one stream, cleared per draw: a fresh family's first
-    # read costs a whole buffer fill
+    # read costs a jump over a uniform fill and a window of exponentials
     clocks = sample_clocks(region, p, substream(4))
     for _ in range(n):
         clocks.clear()
@@ -201,7 +201,8 @@ def _lazy_clock_values(clocks, n_sites):
 
 def test_lazy_clock_stream_golden():
     # pinned stream: one fill of 8192 uniforms that are never read, then
-    # exponentials 8192 at a time; 22 000 fresh draws cross two refills
+    # exponentials in fills of 8192, each read in windows of 64, 64, 128,
+    # ..., 4096; 22 000 fresh draws run into the third fill
     values = _lazy_clock_values(LazyClocks(P, substream(31)), 5500)
     assert len(values) == 25144
     digest = hashlib.sha256(b"".join(struct.pack("<d", v) for v in values)).hexdigest()
@@ -209,8 +210,8 @@ def test_lazy_clock_stream_golden():
 
 
 def test_exponentials_follow_one_unread_uniform_fill():
-    # PCG64 jumps over the unread uniforms and every generator reads a
-    # first window of 64 values; both must give the values of a drawn
+    # PCG64 jumps over the unread uniforms and every generator reads its
+    # exponentials in windows; both must give the values of a drawn
     # uniform fill followed by full exponential fills
     makers = [functools.partial(substream, 33)]
     makers += [functools.partial(substream, 33, i) for i in range(30)]
