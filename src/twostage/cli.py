@@ -51,6 +51,7 @@ from .meanfield import (
     solve_moments,
 )
 from .params import ProcessParams
+from .parallel import pool_scope
 from . import critical, oracle, saw
 
 
@@ -364,10 +365,11 @@ def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
     replicas = res.get("replicas", 2000)
     proxy = _proxy(res, d)
     rows = []
-    for lam in lams:
-        p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-        est = critical.estimate_survival(kind, d, p, proxy, replicas, seed, workers)
-        rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
+    with pool_scope(workers):
+        for lam in lams:
+            p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
+            est = critical.estimate_survival(kind, d, p, proxy, replicas, seed, workers)
+            rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
     writer.meta(_base_meta("sweep", res))
     writer.table(("d", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high"), rows)
     return 0
@@ -385,8 +387,8 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> 
         delta,
         eps=res.get("eps", critical.DEFAULT_EPS),
         tol=res.get("tol"),
-        probe_replicas=res.get("probe_replicas", 2000),
-        bracket_replicas=res.get("bracket_replicas", 10000),
+        probe_replicas=res.get("probe_replicas", critical.PROBE_REPLICAS),
+        bracket_replicas=res.get("bracket_replicas", critical.BRACKET_REPLICAS),
         lambda_max=res.get("lambda_max"),
         proxy=_proxy(res, d),
         seed=seed,
@@ -429,8 +431,8 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
         gamma,
         delta,
         eps=res.get("eps", critical.DEFAULT_EPS),
-        probe_replicas=res.get("probe_replicas", 2000),
-        bracket_replicas=res.get("bracket_replicas", 10000),
+        probe_replicas=res.get("probe_replicas", critical.PROBE_REPLICAS),
+        bracket_replicas=res.get("bracket_replicas", critical.BRACKET_REPLICAS),
         proxy=proxies,
         seed=seed,
         workers=workers,

@@ -52,23 +52,28 @@ interval is not adjusted for the curtailment and is not a 95% interval.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .engine import FULL, SparseConfig, kind_states, simulate
 from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
-from .parallel import chunked_map, index_chunks, pool_scope
+from .parallel import chunked_map, pool_scope
 from .rng import float_key, mix_seed, substream
 
 DEFAULT_EPS = 0.02
 PROBE_ERROR = 1e-3  # total error of a probe rule's early stops
 FIRST_STAGE = 64  # replicas at a probe rule's first look
+PROBE_REPLICAS = 2000  # replicas of a bisection probe
+BRACKET_REPLICAS = 10000  # replicas of a bracket probe
+WILSON_Z = 1.96  # normal quantile of a two-sided 95% interval
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,17 @@ class ProxySettings:
         return f"horizon={self.horizon},cap={self.active_cap},box_radius={self.box_radius}"
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ParameterError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -250,9 +255,10 @@ def run_replicas(
     kind_states(kind)
     # up to four chunks a worker, so a few slow replicas do not idle the rest
     chunk = math.ceil(replicas / (4 * workers))
+    end = start + replicas
     chunks = [
-        (kind, d, p, domain, horizon, cap, seed, lo, hi)
-        for lo, hi in index_chunks(replicas, chunk, start)
+        (kind, d, p, domain, horizon, cap, seed, lo, min(lo + chunk, end))
+        for lo in range(start, end, chunk)
     ]
     return [row for part in chunked_map(_replica_chunk, chunks, workers) for row in part]
 
@@ -351,8 +357,8 @@ def bisect_critical(
     *,
     eps: float = DEFAULT_EPS,
     tol: Optional[float] = None,
-    probe_replicas: int = 2000,
-    bracket_replicas: int = 10000,
+    probe_replicas: int = PROBE_REPLICAS,
+    bracket_replicas: int = BRACKET_REPLICAS,
     lambda_max: Optional[float] = None,
     proxy: Optional[ProxySettings] = None,
     seed: int = 0,
@@ -369,9 +375,10 @@ def bisect_critical(
     prefix that settled its decision, plus the bisection phase and
     whether that prefix is shorter than the probe's replicas ("early")
     or all of them ("full").  The Wilson interval on the prefix is not
-    adjusted for the curtailment.  All probes share one worker pool,
-    which is gone when this returns or raises unless an enclosing
-    ``pool_scope`` owns it.  Raises ParameterError, before any worker
+    adjusted for the curtailment.  The bisection runs inside
+    ``pool_scope(workers)``: with workers > 1 it forks one pool for all
+    its probes, gone when this returns or raises, unless an enclosing
+    scope's pool serves them.  Raises ParameterError, before any worker
     starts, unless ``tol`` and ``lambda_max`` are positive and finite,
     both replica counts and ``workers`` are at least 1 and the kind is
     known, and BracketError when no bracket exists below ``lambda_max``
@@ -386,61 +393,22 @@ def bisect_critical(
     there.  In d >= 2 at the default settings the absorbing-box bias
     dominates and estimates sit above the proven lower bound.
     """
-    run = _bisection(
+    lb, tol, lambda_max, proxy = _bisection_inputs(
         kind, d, gamma, delta, eps, tol, probe_replicas, bracket_replicas, lambda_max, proxy,
-        seed, workers,
+        workers,
     )
-    with pool_scope():
-        return run()
+    probes: list[ProbeRecord] = []
 
+    def probe(lam: float, phase: str, replicas: int) -> float:
+        p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
+        est = estimate_survival(
+            kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
+        )
+        stop = "early" if est.trials < replicas else "full"
+        probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
+        return est.p_hat
 
-def _bisection(
-    kind: str,
-    d: int,
-    gamma: float,
-    delta: float,
-    eps: float,
-    tol: Optional[float],
-    probe_replicas: int,
-    bracket_replicas: int,
-    lambda_max: Optional[float],
-    proxy: Optional[ProxySettings],
-    seed: int,
-    workers: int,
-) -> Callable[[], CriticalEstimate]:
-    """Check ``bisect_critical``'s inputs and return its bisection, to run later."""
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    for name, n in (("probe_replicas", probe_replicas), ("bracket_replicas", bracket_replicas)):
-        if n < 1:
-            raise ParameterError(f"{name} must be >= 1, got {n}")
-    lb = lower_bound_lambda(d, gamma, delta)
-    if tol is None:
-        tol = 0.05 * lb
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
-    if lambda_max is None:
-        lambda_max = 64.0 * lb
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
-    if proxy is None:
-        proxy = ProxySettings.default_for(d)
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    kind_states(kind)
-
-    def run() -> CriticalEstimate:
-        probes: list[ProbeRecord] = []
-
-        def probe(lam: float, phase: str, replicas: int) -> float:
-            p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-            est = estimate_survival(
-                kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
-            )
-            stop = "early" if est.trials < replicas else "full"
-            probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
-            return est.p_hat
-
+    with pool_scope(workers):
         lo = lb
         p_lo = probe(lo, "bracket-low", bracket_replicas)
         if p_lo >= eps:
@@ -470,22 +438,60 @@ def _bisection(
             else:
                 lo = mid
 
-        lambda_hat = 0.5 * (lo + hi)
-        return CriticalEstimate(
-            kind=kind,
-            d=d,
-            gamma=gamma,
-            delta=delta,
-            lambda_hat=lambda_hat,
-            scaled=2.0 * d * lambda_hat,
-            threshold_eps=eps,
-            resolution=tol,
-            proxy=proxy.describe(),
-            target=scaled_limit(gamma, delta),
-            probes=probes,
-        )
+    lambda_hat = 0.5 * (lo + hi)
+    return CriticalEstimate(
+        kind=kind,
+        d=d,
+        gamma=gamma,
+        delta=delta,
+        lambda_hat=lambda_hat,
+        scaled=2.0 * d * lambda_hat,
+        threshold_eps=eps,
+        resolution=tol,
+        proxy=proxy.describe(),
+        target=scaled_limit(gamma, delta),
+        probes=probes,
+    )
 
-    return run
+
+def _bisection_inputs(
+    kind: str,
+    d: int,
+    gamma: float,
+    delta: float,
+    eps: float,
+    tol: Optional[float],
+    probe_replicas: int,
+    bracket_replicas: int,
+    lambda_max: Optional[float],
+    proxy: Optional[ProxySettings],
+    workers: int,
+) -> tuple[float, float, float, ProxySettings]:
+    """Check ``bisect_critical``'s inputs.
+
+    Returns (lower bound, tol, lambda_max, proxy), with the defaults of
+    those left None filled in.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    for name, n in (("probe_replicas", probe_replicas), ("bracket_replicas", bracket_replicas)):
+        if n < 1:
+            raise ParameterError(f"{name} must be >= 1, got {n}")
+    lb = lower_bound_lambda(d, gamma, delta)
+    if tol is None:
+        tol = 0.05 * lb
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
+    if lambda_max is None:
+        lambda_max = 64.0 * lb
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
+    if proxy is None:
+        proxy = ProxySettings.default_for(d)
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    kind_states(kind)
+    return lb, tol, lambda_max, proxy
 
 
 def trend_study(
@@ -495,8 +501,8 @@ def trend_study(
     delta: float,
     *,
     eps: float = DEFAULT_EPS,
-    probe_replicas: int = 2000,
-    bracket_replicas: int = 10000,
+    probe_replicas: int = PROBE_REPLICAS,
+    bracket_replicas: int = BRACKET_REPLICAS,
     proxy: Optional[dict[int, ProxySettings]] = None,
     seed: int = 0,
     workers: int = 1,
@@ -509,45 +515,44 @@ def trend_study(
     maps each dimension to its setting; None uses
     ``ProxySettings.default_for(d)`` throughout.
 
-    Every dimension's inputs are checked before any worker starts.  Up
-    to ``workers`` bisections then run at the same time, taking the
-    dimensions in d order, and send their rounds to one shared worker
-    pool, so while one waits on a slow survivor another keeps the
-    workers busy.  The calling thread runs one of them and daemon
+    Every dimension's inputs are checked before any worker starts.  The
+    trend then forks its one pool, in ``pool_scope(workers)``, and up to
+    ``workers`` threads call ``bisect_critical`` at the same time, taking
+    the dimensions in d order; each bisection's own scope joins the
+    trend's pool, so while one waits on a slow survivor another keeps
+    the workers busy.  The calling thread runs one of them and daemon
     threads the rest; with one worker the dimensions run one after
-    another in the calling thread.  Each bisection is the one
-    ``bisect_critical`` runs alone, so the estimates do not depend on
-    ``workers``; they come back in d order.  A failing dimension does not
-    stop the others: all of them run, and then the error of the lowest
-    failing d is raised, the one a dimension-by-dimension loop would
-    raise.  The pool is gone when this returns or raises.
+    another in the calling thread and no pool is forked.  Each bisection
+    is the one ``bisect_critical`` runs alone, so the estimates do not
+    depend on ``workers``; they come back in d order.  A failing
+    dimension does not stop the others: all of them run, and then the
+    error of the lowest failing d is raised, the one a
+    dimension-by-dimension loop would raise.  The pool is gone when this
+    returns or raises.
     """
-    # both already loaded with the package, so importing here costs nothing
-    import threading
-    from collections import deque
-
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
-    todo = deque(
-        enumerate(
-            _bisection(
-                kind, d, gamma, delta, eps, None, probe_replicas, bracket_replicas, None,
-                proxy[d] if proxy is not None else ProxySettings.default_for(d),
-                mix_seed(seed, d), workers,
-            )
-            for d in d_list
+    proxies = proxy if proxy is not None else dict.fromkeys(d_list)
+    for d in d_list:
+        _bisection_inputs(
+            kind, d, gamma, delta, eps, None, probe_replicas, bracket_replicas, None, proxies[d],
+            workers,
         )
-    )
+    todo = deque(enumerate(d_list))
     outcomes: list = [None] * len(todo)
 
     def work() -> None:
         while True:
             try:
-                i, run = todo.popleft()  # atomic: each dimension runs once
+                i, d = todo.popleft()  # atomic: each dimension runs once
             except IndexError:
                 return
             try:
-                outcomes[i] = run()
+                outcomes[i] = bisect_critical(
+                    kind, d, gamma, delta, eps=eps, probe_replicas=probe_replicas,
+                    bracket_replicas=bracket_replicas, proxy=proxies[d], seed=mix_seed(seed, d),
+                    workers=workers,
+                )
             except Exception as exc:  # raised below, once every dimension has run
                 outcomes[i] = exc
 

@@ -4,19 +4,19 @@ Replica results are deterministic functions of (seed, replica index), so
 chunked parallel execution returns the same numbers as a serial run; the
 chunks are merged in submission order to keep reductions reproducible.
 
-Every multi-chunk map runs inside a ``pool_scope()`` and shares that
-scope's one pool.  A map called outside any scope opens a scope of its
-own, so its pool lives for that one map; a caller that maps many
-batches (a bisection) opens one scope around all of them and forks one
-pool.  The first map that needs the pool creates it with its worker
-count, unless the scope was opened with a worker count, which forks the
-pool at once from the opening thread.  Threads started inside such a
-scope share the pool: their maps run concurrently on it, each getting
-its own chunks back in order.  Forking before those threads start keeps
-the fork in one thread and the pool creation free of races.  Leaving
-the outermost scope, normally or by an exception, terminates and joins
-the pool, so no worker outlives it.  The workers ignore SIGINT: a Ctrl-C
-reaches the whole process group, and only the parent handles it.
+``pool_scope(workers)`` is the one place a pool is made, and each
+mapping command forks at most one.  The outermost scope with workers > 1
+forks its pool at once, from the calling thread, and every multi-chunk
+map inside it shares that pool; a nested scope, or a one-worker scope,
+forks nothing.  A map called outside any such scope opens one of its own,
+so its pool lives for that one map; a caller that maps many batches (a
+bisection, a sweep) opens one scope around all of them.  Threads started
+inside a scope share its pool: their maps run concurrently on it, each
+getting its own chunks back in order.  Forking before those threads
+start keeps the fork in one thread and the pool creation free of races.
+Leaving the outermost scope, normally or by an exception, terminates and
+joins the pool, so no worker outlives it.  The workers ignore SIGINT: a
+Ctrl-C reaches the whole process group, and only the parent handles it.
 """
 from __future__ import annotations
 
@@ -25,32 +25,31 @@ import signal
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
-_scoped = False  # inside pool_scope()
-_pool = None  # the scope's pool, once created
+_pool = None  # the outermost scope's pool
 
 
 @contextmanager
-def pool_scope(workers: int = 1) -> Iterator[None]:
-    """Share one pool among the maps inside the block.
+def pool_scope(workers: int) -> Iterator[None]:
+    """Share one pool of ``workers`` processes among the maps inside the block.
 
-    With workers > 1 the outermost scope forks a pool of that many
-    workers on entry, from the calling thread; otherwise the first map
-    that needs a pool creates it.  A nested scope joins the enclosing one.
+    Inside an enclosing pool's scope, or with one worker, this forks
+    nothing and the maps use the enclosing pool, if any.
     """
-    global _scoped, _pool
-    if _scoped:
+    global _pool
+    if _pool is not None or workers <= 1:
         yield
         return
-    _scoped = True
+    # the replicas draw from numpy.random: loaded before the fork, the
+    # workers share it instead of each importing its own
+    import numpy.random  # noqa: F401
+    # workers ignore Ctrl-C: the scope's exit terminates them
+    _pool = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     try:
-        if workers > 1:
-            _pool = _new_pool(workers)
         yield
     finally:
-        pool, _pool, _scoped = _pool, None, False
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        pool, _pool = _pool, None
+        pool.terminate()
+        pool.join()
 
 
 def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
@@ -58,21 +57,7 @@ def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
 
     fn must be a picklable top-level function when workers > 1.
     """
-    global _pool
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with pool_scope():
-        if _pool is None:
-            _pool = _new_pool(workers)
+    with pool_scope(workers):
         return _pool.map(fn, chunks)
-
-
-def _new_pool(workers: int):
-    """A pool whose workers ignore Ctrl-C: the scope's exit terminates them."""
-    return multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-
-
-def index_chunks(total: int, chunk_size: int, start: int = 0) -> list[tuple[int, int]]:
-    """Split range(start, start + total) into [lo, hi) index pairs."""
-    end = start + total
-    return [(lo, min(lo + chunk_size, end)) for lo in range(start, end, chunk_size)]

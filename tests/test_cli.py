@@ -144,6 +144,33 @@ def test_sweep_columns_and_determinism(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_forks_one_pool_for_all_its_rates(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from twostage import cli, parallel
+
+    pools = []
+    real_pool = parallel.multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
+    args = [
+        "sweep", "--d", "2", "--lambdas", "0.5,1,1.5", "--replicas", "60",
+        "--horizon", "5", "--radius", "5", "--seed", "3",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sweep-{threads}.csv"
+        assert cli.main([*args, "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert len(pools) == 1
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
 def test_bisect_emits_probes_and_result(tmp_path):
     args = [
         "bisect", "--d", "2", "--gamma", "1", "--delta", "1",

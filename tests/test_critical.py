@@ -1,13 +1,12 @@
 import math
 import multiprocessing
 import random
-import signal
 import threading
-from contextlib import contextmanager
+from itertools import groupby
 
 import pytest
 
-from twostage import parallel
+from twostage import critical, parallel
 from twostage.critical import (
     PROBE_ERROR,
     ProxySettings,
@@ -202,7 +201,7 @@ ALL_SURVIVE = ProxySettings(horizon=0.01, active_cap=150, box_radius=10)
         ({2: NO_BRACKET, 3: ALL_SURVIVE}, [2, 3]),
     ],
 )
-def test_trend_raises_the_lowest_failing_dimension(proxies, failing):
+def test_trend_raises_the_lowest_failing_dimension(proxies, failing, time_limit):
     errors = {}
     for d in (2, 3):
         try:
@@ -393,23 +392,47 @@ def test_bisect_leaves_no_worker_running(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@contextmanager
-def time_limit(seconds):
-    """Fail a block that runs longer than seconds, so it cannot stall the suite."""
+def step_curve_replicas(lam_star):
+    """A run_replicas whose replica i survives with probability 1[lambda >= lam_star].
 
-    def expire(signum, frame):
-        raise TimeoutError
+    Each replica is a Bernoulli draw seeded by (seed, i), as a simulated
+    replica reads stream (seed, i); no process is simulated.
+    """
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    except TimeoutError:
-        # the interrupted frames are not reported: some cannot be formatted
-        pytest.fail(f"still running after {seconds} s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    def fake(kind, d, p, domain, horizon, cap, replicas, seed, workers=1, *, start=0):
+        survival = 1.0 if p.lam >= lam_star else 0.0
+        return [
+            (random.Random(mix_seed(seed, i)).random() < survival, 0.0, 1, 0)
+            for i in range(start, start + replicas)
+        ]
+
+    return fake
+
+
+def test_bisection_driver_brackets_a_step_curve_without_simulating(monkeypatch):
+    lam_star = 1.37 * lower_bound_lambda(4, 1.0, 1.0)
+    monkeypatch.setattr(critical, "run_replicas", step_curve_replicas(lam_star))
+    est = bisect_critical("contact", 4, 1.0, 1.0, seed=1)
+    phases = [pr.phase for pr in est.probes]
+    assert [ph for ph, _ in groupby(phases)] == ["bracket-low", "bracket-high", "bisect"]
+    assert phases.count("bracket-low") == 1
+    lo = max(pr.params.lam for pr in est.probes if pr.p_hat < est.threshold_eps)
+    hi = min(pr.params.lam for pr in est.probes if pr.p_hat >= est.threshold_eps)
+    assert lo < lam_star <= hi
+    assert hi - lo <= est.resolution
+    assert est.lambda_hat == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [(1.0, "already at the lower bound"), (65.0, "no rate with survival above eps")],
+)
+def test_bisection_driver_finds_no_bracket_past_either_end(monkeypatch, factor, message):
+    # the default lambda_max is 64 times the lower bound
+    lam_star = factor * lower_bound_lambda(4, 1.0, 1.0)
+    monkeypatch.setattr(critical, "run_replicas", step_curve_replicas(lam_star))
+    with pytest.raises(BracketError, match=message):
+        bisect_critical("contact", 4, 1.0, 1.0, seed=1)
 
 
 NO_WORKER_CALLS = {
@@ -432,7 +455,7 @@ NO_WORKER_CALLS = {
 
 @pytest.mark.parametrize("call", list(NO_WORKER_CALLS))
 @pytest.mark.parametrize("workers", [0, -1])
-def test_estimators_need_a_worker(call, workers):
+def test_estimators_need_a_worker(call, workers, time_limit):
     p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
     with time_limit(10), pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
         NO_WORKER_CALLS[call](p, workers)

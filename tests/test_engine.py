@@ -690,12 +690,15 @@ def test_simulate_many_raises_as_simulate_does_before_reading_a_stream():
         ("linear", (0.5, 1.0, 1.0), 2.0**48),
     ],
 )
-def test_a_run_with_2_to_the_50_attempts_per_site_is_refused_before_a_draw(kind, rates, span):
+def test_a_run_with_2_to_the_50_attempts_per_site_is_refused_before_a_draw(kind, rates, span, time_limit):
     p = ProcessParams(*rates)
     g = LatticeGeometry(1, Torus(3))
     rng = substream(0)
     before = rng.bit_generator.state
-    with pytest.raises(ParameterError, match=r"attempts in .* time units; a run cannot finish past 2\*\*50"):
+    # without the guard some of these runs never end
+    with time_limit(10), pytest.raises(
+        ParameterError, match=r"attempts in .* time units; a run cannot finish past 2\*\*50"
+    ):
         if kind == "linear":
             simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, [span], rng)
         else:
@@ -703,11 +706,14 @@ def test_a_run_with_2_to_the_50_attempts_per_site_is_refused_before_a_draw(kind,
     assert rng.bit_generator.state == before
 
 
-def test_a_run_just_inside_the_attempt_bound_runs():
+def test_a_run_just_inside_the_attempt_bound_runs(time_limit):
     # 3 * 2**48 and 4 * 2**47 attempts: the ring dies out long before the end
     p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
     g = LatticeGeometry(1, Torus(3))
-    out = simulate("contact", _config({(0,): FULL}), p, g, 2.0**48, substream(0))
+    with time_limit(10):
+        out = simulate("contact", _config({(0,): FULL}), p, g, 2.0**48, substream(0))
+        snaps = simulate_linear(
+            LinearConfig.from_sites({(0,): (1, 0)}), p, g, [2.0**47], substream(0)
+        )
     assert not out.survived
-    snaps = simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, [2.0**47], substream(0))
     assert snaps[0].time == 2.0**47
