@@ -461,9 +461,9 @@ def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int
     meta = _base_meta("ode", res)
     meta.update(
         {
-            "eigenvalue_1": c1.real if c1.imag == 0 else str(c1),
-            "eigenvalue_2": c2.real if c2.imag == 0 else str(c2),
-            "max_real_eigenvalue": max(c1.real, c2.real),
+            "eigenvalue_1": c1,
+            "eigenvalue_2": c2,
+            "max_real_eigenvalue": c1,
             "subcritical": is_subcritical(d, p),
             "lower_bound_lambda": lower_bound_lambda(d, p.gamma, p.delta),
         }

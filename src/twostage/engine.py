@@ -17,11 +17,11 @@ the domain or hits a non-susceptible site.  Rejected attempts are null
 transitions, so the scheme is exact in law while keeping every event at
 O(1) amortized cost.  Sites are handled as integer codes internally
 (see lattice.LatticeGeometry); the public API speaks tuples.  Both loops
-step between codes by the geometry's per-direction tables (stride, edge
-digit, step, torus wrap): the spread loop steps from a source code to the
-proposed neighbour by their arithmetic, so it builds and keeps no
-neighbour tuples; the pair loop reads whole tuples from
-``neighbor_codes``, which builds them from the same tables.
+step from a source code to one neighbour by the arithmetic of the
+geometry's per-direction tables (stride, edge digit, step, torus wrap),
+so neither builds or keeps neighbour tuples: the spread loop to the
+site an infection attempt proposes, the pair loop to the site a lam
+clock gives zeta to.
 
 Draw contract: each event reads one (uniform, exponential) pair of
 Python floats from rng.event_draws, so a replica's draws are a fixed
@@ -491,10 +491,13 @@ def simulate_linear(
 
     Per site the five transition rows are: reset to (0, 0) at rate 1;
     (zeta, 0) at rate delta; (zeta + theta, 0) at rate gamma; and per
-    ordered neighbor pair y ~ x, (zeta, theta + zeta(y)) at rate lam --
-    one independent clock per direction, 2d per site.  Rows whose target
-    equals the current pair are null, so only sites with a nonzero pair
-    or a zeta-positive neighbor need live clocks.
+    ordered neighbor pair y -> x, theta(x) += zeta(y) at rate lam -- one
+    independent clock per direction, 2d per site.  Each lam clock is
+    indexed by its source y, so it gives rather than takes: rows whose
+    target equals the current pair are null, and only sites with a
+    nonzero pair need live clocks.  The active set is exactly the sites
+    of the current configuration, and a clock that points out of a box
+    is a null event.
 
     Returns one LinearConfig per entry of sample_times (ascending).
     """
@@ -517,31 +520,7 @@ def simulate_linear(
         if (z, th) == _ZERO_PAIR:
             continue
         vals[g.encode(x)] = (int(z), int(th))
-
-    nbrs = g.neighbor_codes
-
-    # active set: nonzero pair, or some neighbor with zeta > 0
-    active: list[int] = []
-    pos: dict[int, int] = {}
-
-    def activate(c: int) -> None:
-        if c not in pos:
-            pos[c] = len(active)
-            active.append(c)
-
-    def deactivate(c: int) -> None:
-        i = pos.pop(c)
-        last = active.pop()
-        if i < len(active):
-            active[i] = last
-            pos[last] = i
-
-    for c, (z, _) in vals.items():
-        activate(c)
-        if z:
-            for y in nbrs(c):
-                if y >= 0:
-                    activate(y)
+    active = list(vals)  # the keys of vals: every site with live clocks
 
     lam = p.lam
     gamma = p.gamma
@@ -549,31 +528,29 @@ def simulate_linear(
     twod = 2 * g.d
     gd_edge = 1.0 + delta + gamma  # lower edge of the lam rows
 
+    # direction tables: see LatticeGeometry
+    side = g.side
+    stride = g.dir_stride
+    edge = g.dir_edge
+    step = g.dir_step
+    wrap = g.dir_wrap
+
     out: list[LinearConfig] = []
+    stop = times[0]
     t = init.time
-    next_i = 0
-
-    def snapshot(at: float) -> None:
-        out.append(
-            LinearConfig(values={g.decode(c): v for c, v in vals.items()}, time=at)
-        )
-
     draws = event_draws(rng)
-    while next_i < len(times):
+    while True:
         n = len(active)
-        if n == 0:
-            # frozen forever: emit the remaining snapshots
-            while next_i < len(times):
-                snapshot(times[next_i])
-                next_i += 1
-            break
-        u, e = next(draws)  # after the frozen check: a run that never moves draws nothing
-        t_next = t + e / (n * bundle)
-        while next_i < len(times) and times[next_i] <= t_next:
-            snapshot(times[next_i])
-            next_i += 1
-        if next_i >= len(times):
-            break
+        if n:
+            u, e = next(draws)
+            t_next = t + e / (n * bundle)
+        else:
+            t_next = math.inf  # frozen: the remaining snapshots, and no draw
+        while t_next >= stop:
+            out.append(LinearConfig(values={g.decode(c): v for c, v in vals.items()}, time=stop))
+            if len(out) == len(times):
+                return out
+            stop = times[len(out)]
         t = t_next
         u *= n
         i = int(u)
@@ -581,14 +558,12 @@ def simulate_linear(
             i = n - 1
         x = active[i]
         v = (u - i) * bundle
-        z, th = vals.get(x, _ZERO_PAIR)
+        z, th = vals[x]
         if v < 1.0:
-            # reset row; a zeta drop can strand neighbors, pruned lazily
-            if z or th:
-                del vals[x]
-            # prune x once no zeta-positive neighbor remains
-            if not any(vals.get(y, _ZERO_PAIR)[0] for y in nbrs(x) if y >= 0):
-                deactivate(x)
+            # reset to (0, 0)
+            del vals[x]
+            active[i] = active[-1]
+            active.pop()
         elif v < 1.0 + delta:
             # clear theta, keep zeta
             if th:
@@ -596,23 +571,26 @@ def simulate_linear(
                     vals[x] = (z, 0)
                 else:
                     del vals[x]
+                    active[i] = active[-1]
+                    active.pop()
         elif v < gd_edge:
             # promote theta into zeta
             if th:
                 vals[x] = (z + th, 0)
-                if z == 0:
-                    for y in nbrs(x):
-                        if y >= 0:
-                            activate(y)
-        else:
-            # absorb a neighbor's zeta into theta
+        elif z:
+            # give zeta to the neighbour in direction k
             k = int((v - gd_edge) / lam)
             if k >= twod:
                 k = twod - 1
-            y = nbrs(x)[k]
-            if y >= 0:
-                zy = vals.get(y, _ZERO_PAIR)[0]
-                if zy:
-                    vals[x] = (z, th + zy)
-                    activate(x)
-    return out
+            if x // stride[k] % side != edge[k]:
+                y = x + step[k]
+            elif wrap is None:
+                continue  # the clock points out of the box
+            else:
+                y = x + wrap[k]
+            target = vals.get(y)
+            if target is None:
+                vals[y] = (0, z)
+                active.append(y)
+            else:
+                vals[y] = (target[0], target[1] + z)

@@ -197,17 +197,13 @@ def sir_from_clocks(clocks: LazyClocks, init: SparseConfig) -> ClockTrajectory:
     ever_full: set[Site] = set()
     active = 0  # sites currently in state 1 or 2
     extinction_time = 0.0
-    seq = 0
 
-    # heap entries: (time, site, action, seq, payload); the site breaks
-    # float ties lexicographically, seq makes the order total
+    # heap entries: (time, site, action, target); the site breaks float
+    # ties lexicographically.  A site matures, is removed or recovers at
+    # most once, so only attempts can tie on the first three, and their
+    # targets (None for the other actions) break the tie in sorted order.
     _ATTEMPT, _MATURE, _REMOVE, _RECOVER = 0, 1, 2, 3
-    heap: list[tuple[float, Site, int, int, Site | None]] = []
-
-    def push(at: float, x: Site, action: int, payload: Site | None = None) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (at, x, action, seq, payload))
-        seq += 1
+    heap: list[tuple[float, Site, int, Site | None]] = []
 
     def become_full(x: Site, at: float) -> None:
         # runs at most once per site, so neighbors are not memoized
@@ -215,29 +211,28 @@ def sir_from_clocks(clocks: LazyClocks, init: SparseConfig) -> ClockTrajectory:
         ever_full.add(x)
         events.append((at, x, FULL))
         wx = clocks.w(x)
-        push(at + wx, x, _RECOVER)
+        heapq.heappush(heap, (at + wx, x, _RECOVER, None))
         for y in sorted(_region_neighbors(x, region)):
             uxy = clocks.u(x, y)
             if uxy < wx:
-                push(at + uxy, x, _ATTEMPT, y)
+                heapq.heappush(heap, (at + uxy, x, _ATTEMPT, y))
 
     for x in sorted(state):
         active += 1
         become_full(x, 0.0)
 
     while heap:
-        at, x, action, _, payload = heapq.heappop(heap)
+        at, x, action, y = heapq.heappop(heap)
         if action == _ATTEMPT:
-            y = payload
             if state.get(y, HEALTHY) == HEALTHY:
                 state[y] = SEMI
                 active += 1
                 events.append((at, y, SEMI))
                 gam, yy = clocks.gam(y), clocks.y(y)
                 if gam < yy:
-                    push(at + gam, y, _MATURE)
+                    heapq.heappush(heap, (at + gam, y, _MATURE, None))
                 else:
-                    push(at + yy, y, _REMOVE)
+                    heapq.heappush(heap, (at + yy, y, _REMOVE, None))
         elif action == _MATURE:
             become_full(x, at)  # active count unchanged: 1 -> 2
         else:  # _REMOVE or _RECOVER

@@ -12,14 +12,15 @@ Sites are plain tuples of d integers.  Two finite domains are supported:
   needed (moment comparisons from all-occupied initial states).
 
 Besides the tuple-based API the geometry exposes an integer site encoding
-(``encode``/``decode``/``neighbor_codes``) used by the event loops.  The
-per-direction tables built with the geometry (``dir_stride``,
-``dir_edge``, ``dir_step``, ``dir_wrap``) are the one neighbour rule on
-codes: the spread loop (``engine.simulate``) steps from a code to one
-neighbour by their arithmetic, and ``neighbor_codes``, which the pair
-loop (``engine.simulate_linear``) reads, builds whole tuples from them.
-``neighbors`` stays coordinate-based, an independent reference for the
-rate table ``engine.site_rates`` and the tests.
+(``encode``/``decode``) used by the event loops.  The per-direction
+tables built with the geometry (``dir_stride``, ``dir_edge``,
+``dir_step``, ``dir_wrap``) are the one neighbour rule on codes: both
+loops, the spread loop (``engine.simulate``) and the pair loop
+(``engine.simulate_linear``), step from a code to one neighbour by their
+arithmetic.  ``neighbor_codes`` builds a code's whole neighbour tuple
+from the same tables; no loop calls it.  ``neighbors`` stays
+coordinate-based, an independent reference for the rate table
+``engine.site_rates`` and the tests.
 """
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ class LatticeGeometry:
         self.domain = domain
         self.is_torus = isinstance(domain, Torus)
         self._strides = [self.side**i for i in range(d)]
-        self._neighbor_memo: dict[int, tuple[int, ...]] = {}
         span = self.side - 1
         self.dir_stride = tuple(s for s in self._strides for _ in (0, 1))
         self.dir_edge = (0, span) * d
@@ -179,18 +179,15 @@ class LatticeGeometry:
         Direction order is (axis 0 -, axis 0 +, axis 1 -, ...), matching
         ``neighbors`` up to boundary clipping.
         """
-        result = self._neighbor_memo.get(code)
-        if result is None:
-            side = self.side
-            wraps = self.dir_wrap or (None,) * len(self.dir_step)
-            rows = zip(self.dir_stride, self.dir_edge, self.dir_step, wraps)
-            result = self._neighbor_memo[code] = tuple(
-                code + step if code // stride % side != edge
-                else -1 if wrap is None
-                else code + wrap
-                for stride, edge, step, wrap in rows
-            )
-        return result
+        side = self.side
+        wraps = self.dir_wrap or (None,) * len(self.dir_step)
+        rows = zip(self.dir_stride, self.dir_edge, self.dir_step, wraps)
+        return tuple(
+            code + step if code // stride % side != edge
+            else -1 if wrap is None
+            else code + wrap
+            for stride, edge, step, wrap in rows
+        )
 
     def __repr__(self) -> str:
         return f"LatticeGeometry(d={self.d}, domain={self.domain!r})"

@@ -6,16 +6,17 @@ satisfy a linear two-dimensional ODE whose coefficient matrix is
     [[ -1,        gamma           ],
      [ 2*d*lam,  -(1 + gamma + delta) ]].
 
-Its spectrum decides subcriticality: both eigenvalues have negative real
-part exactly when 2*d*lam*gamma < 1 + gamma + delta, which yields the
+Its spectrum decides subcriticality: both eigenvalues are negative
+exactly when 2*d*lam*gamma < 1 + gamma + delta, which yields the
 closed-form lower bound (1/2d) * (1 + (1+delta)/gamma) on the critical
-infection rate.  Eigenvalues come from the quadratic formula (no general
-eigensolver) and the moment trajectories from the explicit 2x2 matrix
-exponential, with a confluent branch guarding the repeated-root case.
+infection rate.  The discriminant (gamma + delta)^2 + 8*d*lam*gamma is
+positive, so both eigenvalues are real; they come from the quadratic
+formula (no general eigensolver) and the moment trajectories from the
+explicit 2x2 matrix exponential, with a confluent branch guarding the
+repeated-root case.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -57,21 +58,19 @@ def moment_matrix(d: int, p: ProcessParams) -> MomentMatrix:
     )
 
 
-def eigenvalues(m: MomentMatrix) -> tuple[complex, complex]:
-    """Both eigenvalues, ordered by real part (descending).
+def eigenvalues(m: MomentMatrix) -> tuple[float, float]:
+    """Both eigenvalues, the larger first.
 
-    Roots of mu^2 - trace*mu + det = 0, computed in complex arithmetic.
-    For positive rates the discriminant is strictly positive, so the pair
-    is always real; the complex form is kept for uniformity.
+    Roots of mu^2 - trace*mu + det = 0.  The discriminant is
+    (gamma + delta)^2 + 8*d*lam*gamma, positive for positive rates, so
+    both roots are real and adding its root gives the larger.  Computed
+    as trace^2 - 4*det it cancels: at rates near 1e-9 rounding can take
+    it below 0, where the roots coincide to rounding error.
     """
     b = -m.trace
     c = m.det
-    disc = cmath.sqrt(b * b - 4.0 * c)
-    r1 = (-b + disc) / 2.0
-    r2 = (-b - disc) / 2.0
-    if (r1.real, r1.imag) >= (r2.real, r2.imag):
-        return r1, r2
-    return r2, r1
+    disc = math.sqrt(max(b * b - 4.0 * c, 0.0))
+    return (-b + disc) / 2.0, (-b - disc) / 2.0
 
 
 def is_subcritical(d: int, p: ProcessParams) -> bool:
@@ -79,20 +78,18 @@ def is_subcritical(d: int, p: ProcessParams) -> bool:
     return 2.0 * d * p.lam * p.gamma < 1.0 + p.gamma + p.delta
 
 
-def _moment_solution(c1: complex, c2: complex, twodlam: float, t: float) -> tuple[float, float]:
+def _moment_solution(c1: float, c2: float, twodlam: float, t: float) -> tuple[float, float]:
     """Moment pair at time t from initial vector (1, 0), given eigenvalues."""
     if abs(c1 - c2) < _CONFLUENT_EPS:
         c = (c1 + c2) / 2.0
-        e = cmath.exp(c * t)
-        zeta = e * (1.0 + t * (-1.0 - c))
-        theta = e * t * twodlam
-        return zeta.real, theta.real
-    e1 = cmath.exp(c1 * t)
-    e2 = cmath.exp(c2 * t)
+        e = math.exp(c * t)
+        return e * (1.0 + t * (-1.0 - c)), e * t * twodlam
+    e1 = math.exp(c1 * t)
+    e2 = math.exp(c2 * t)
     gap = c1 - c2
     zeta = (e1 * (-1.0 - c2) - e2 * (-1.0 - c1)) / gap
     theta = twodlam * (e1 - e2) / gap
-    return zeta.real, theta.real
+    return zeta, theta
 
 
 def solve_moments(d: int, p: ProcessParams, t: float) -> tuple[float, float]:

@@ -257,6 +257,59 @@ def test_linear_theta_gains_are_source_zeta_multiples():
     assert seen_five
 
 
+def _exact_pair_moments(g, p, init, t):
+    """E sum zeta, E sum theta, E zeta(o), E theta(o) at time t, exactly.
+
+    On a finite graph the first moments solve m' = A m with
+    d E zeta(x)/dt = -E zeta(x) + gamma E theta(x) and
+    d E theta(x)/dt = -(1 + gamma + delta) E theta(x) + lam sum_{y ~ x} E zeta(y);
+    the 2n x 2n matrix A is diagonalized with numpy.linalg.eig.
+    """
+    index = {x: i for i, x in enumerate(g.sites())}
+    n = len(index)
+    a = np.zeros((2 * n, 2 * n))
+    for x, i in index.items():
+        a[i, i] = -1.0
+        a[i, n + i] = p.gamma
+        a[n + i, n + i] = -(1.0 + p.gamma + p.delta)
+        for y in g.neighbors(x):
+            a[n + i, index[y]] += p.lam
+    m0 = np.zeros(2 * n)
+    for x, (z, th) in init.values.items():
+        m0[index[x]] = z
+        m0[n + index[x]] = th
+    w, v = np.linalg.eig(a)
+    m = (v @ (np.exp(w * t) * np.linalg.solve(v, m0))).real
+    o = index[origin(g.d)]
+    return m[:n].sum(), m[n:].sum(), m[o], m[n + o]
+
+
+@pytest.mark.parametrize(
+    "case,d,domain,rates,init,t",
+    [
+        # box exits from a corner and from a face
+        (0, 2, Box(1), (0.4, 1.0, 1.0), {(-1, -1): (2, 1)}, 1.5),
+        (1, 3, Box(1), (0.2, 1.0, 1.0), {(1, 0, 0): (2, 1)}, 1.5),
+        # an inhomogeneous start on the torus, with theta to clear and promote
+        (2, 2, Torus(3), (0.3, 1.0, 1.0), {(0, 0): (1, 1), (1, 2): (0, 2)}, 1.0),
+    ],
+)
+def test_linear_first_moments_solve_the_moment_ode(case, d, domain, rates, init, t):
+    # subcritical rates (2d lam gamma < 1 + gamma + delta) keep the sums light-tailed
+    g = LatticeGeometry(d, domain)
+    p = ProcessParams(*rates)
+    lc = LinearConfig.from_sites(init)
+    n = 20000
+    rows = np.empty((n, 4))
+    for i in range(n):
+        snap = simulate_linear(lc, p, g, [t], substream(4003, case, i))[0]
+        pairs = snap.values.values()
+        rows[i] = (sum(z for z, _ in pairs), sum(th for _, th in pairs), *snap.value(origin(d)))
+    exact = np.array(_exact_pair_moments(g, p, lc, t))
+    z = (rows.mean(axis=0) - exact) / (rows.std(axis=0, ddof=1) / math.sqrt(n))
+    assert np.all(np.abs(z) <= 4.0), (exact, rows.mean(axis=0), z)
+
+
 def test_linear_frozen_after_all_zero():
     p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
     g = LatticeGeometry(1, Box(2))
@@ -355,15 +408,16 @@ LINEAR_SETUPS = {
     "box3": (3, Box(2), (2.0, 1.0, 1.0), (1, 0), [1.0, 3.0]),
 }
 GOLDEN_LINEAR = [
-    # setup, seed, replica, digest of each snapshot
-    ("ring", 46, 0, ["3cd3374b57072acc"]),  # 5 pairs
-    ("ring", 46, 2, ["23edb2e5504978bc"]),  # 9
-    ("box2", 47, 0, ["93eaa84ced492681", "6080f54125e887df"]),  # 165
-    ("box2", 47, 2, ["ea3be95ce4b605a1", "4f53cda18c2baa0c"]),  # 74
-    ("torus2-all", 48, 0, ["5f3b52191c2dba46"]),  # 84
-    ("torus2-all", 48, 4, ["51c2ff0791c00c16"]),  # 113
-    ("box3", 49, 0, ["96bc14223c66fccc", "3d1314522233039a"]),  # 627
-    ("box3", 49, 3, ["532e70ad8f71c178", "24485c366759ef0d"]),  # 1907
+    # setup, seed, replica, digest of each snapshot; recorded when each lam
+    # clock was indexed by its source, so only nonzero pairs hold clocks
+    ("ring", 46, 0, ["acdecaa61ce65f86"]),  # 6 pairs
+    ("ring", 46, 2, ["5844e05f76ad19c6"]),  # 7
+    ("box2", 47, 0, ["7037e6ef477ad190", "b16fd908a06a6786"]),  # 119
+    ("box2", 47, 2, ["5b853cb4de4d5fa8", "4f53cda18c2baa0c"]),  # 13
+    ("torus2-all", 48, 0, ["fbc3d949adb04488"]),  # 63
+    ("torus2-all", 48, 4, ["8988f7b5b8342962"]),  # 73
+    ("box3", 49, 0, ["4a701d6a4c6c1d17", "f7aad30debc9e15f"]),  # 301
+    ("box3", 49, 3, ["8224d2f00a831876", "07115e8f8cd9898f"]),  # 344
 ]
 
 
@@ -449,7 +503,8 @@ def test_state_after_a_peeked_replica_is_past_every_output_it_read():
     [
         ("contact", "box2", 43, 1, 0, 128),  # 65 pairs: the second window
         ("sir", "box2-sir", 44, 0, 0, 128),  # 124 pairs: the second window
-        ("linear", "box2", 47, 0, 0, 256),  # 165 pairs: the third window
+        ("linear", "box2", 47, 0, 0, 128),  # 119 pairs: the second window
+        ("linear", "box3", 49, 0, 0, 512),  # 301 pairs: the fourth window
         ("contact", "box2-long", 45, 0, 3, 0),  # 20796 pairs: its third fill read to the end
     ],
 )

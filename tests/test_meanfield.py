@@ -103,12 +103,28 @@ def test_solve_moments_satisfies_ode_by_finite_differences():
 
 
 def test_confluent_branch_is_continuous():
-    # valid rate parameters never produce a repeated root, but the solver
-    # must stay finite and continuous across a synthetic near-collision
+    # valid rate parameters give a repeated root only by rounding (see the
+    # next test); the solver must stay finite and continuous across a
+    # synthetic near-collision
     exact = _moment_solution(-2.0, -2.0, 3.0, 1.3)
     near = _moment_solution(-2.0, -2.0 + 1e-9, 3.0, 1.3)
     assert exact[0] == pytest.approx(near[0], rel=1e-6)
     assert exact[1] == pytest.approx(near[1], rel=1e-6)
+
+
+def test_eigenvalues_stay_real_where_rounding_cancels_the_discriminant():
+    # trace^2 - 4 det rounds below 0 at these rates, though the exact
+    # discriminant (gamma + delta)^2 + 8 d lam gamma is positive
+    p = ProcessParams(
+        lam=4.442092241411824e-12, gamma=3.3022164641390467e-12, delta=9.606093933003441e-09
+    )
+    m = moment_matrix(6, p)
+    assert m.trace**2 - 4.0 * m.det < 0
+    c1, c2 = eigenvalues(m)
+    # the roots, -1 and -(1 + gamma + delta) to first order, meet at the
+    # midpoint trace / 2, and the confluent branch solves the moments
+    assert isinstance(c1, float) and c1 == c2 == m.trace / 2
+    assert solve_moments(6, p, 1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-8)
 
 
 def test_lower_bound_values():
