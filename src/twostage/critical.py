@@ -375,14 +375,16 @@ def bisect_critical(
     prefix that settled its decision, plus the bisection phase and
     whether that prefix is shorter than the probe's replicas ("early")
     or all of them ("full").  The Wilson interval on the prefix is not
-    adjusted for the curtailment.  The bisection runs inside
-    ``pool_scope(workers)``: with workers > 1 it forks one pool for all
-    its probes, gone when this returns or raises, unless an enclosing
-    scope's pool serves them.  Raises ParameterError, before any worker
-    starts, unless ``tol`` and ``lambda_max`` are positive and finite,
-    both replica counts and ``workers`` are at least 1 and the kind is
-    known, and BracketError when no bracket exists below ``lambda_max``
-    (default 64x the lower bound).
+    adjusted for the curtailment.  The bisection runs inside a
+    ``pool_scope`` of ``workers``, or of the larger replica count if that
+    is fewer, since no round holds more replicas than its probe: with
+    more than one it forks one pool for all its probes, gone when this
+    returns or raises, unless an enclosing scope's pool serves them.
+    Raises ParameterError, before any worker starts, unless ``tol`` and
+    ``lambda_max`` are positive and finite, both replica counts and
+    ``workers`` are at least 1 and the kind is known, and BracketError
+    when no bracket exists below ``lambda_max`` (default 64x the lower
+    bound).
 
     The probe seed is derived from (seed, rate bits), so re-running any
     probe in isolation reproduces it exactly.
@@ -408,7 +410,7 @@ def bisect_critical(
         probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
         return est.p_hat
 
-    with pool_scope(workers):
+    with pool_scope(min(workers, max(probe_replicas, bracket_replicas))):
         lo = lb
         p_lo = probe(lo, "bracket-low", bracket_replicas)
         if p_lo >= eps:

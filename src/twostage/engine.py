@@ -27,12 +27,12 @@ Draw contract: each event reads one (uniform, exponential) pair of
 Python floats from rng.event_draws, so a replica's draws are a fixed
 function of the stream it is handed; they are drawn in windows that
 grow from 64 pairs, so a short replica converts only the values of its
-first window.  Where the generator is left afterwards is not part of
-the contract (see event_draws); a generator reused for a second call
-still reads no output twice, so the calls stay independent.  A
-replica's path up to time t does not depend on ``horizon``, which only
-ends the loop, so the state at each of ``simulate``'s ``sample_times``
-s is the final state of the same stream run to horizon s.
+first window.  A call leaves the generator at the end of the window
+that holds its last pair, so a generator reused for a second call reads
+on from there and the calls stay independent.  A replica's path up to
+time t does not depend on ``horizon``, which only ends the loop, so the
+state at each of ``simulate``'s ``sample_times`` s is the final state of
+the same stream run to horizon s.
 
 ``simulate_many`` runs ``simulate`` over a sequence of streams with one
 setup: it checks the arguments and encodes ``init`` once, then yields

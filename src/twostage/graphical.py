@@ -10,9 +10,10 @@ clock per site/pair realizes the process exactly, and the whole
 trajectory is a deterministic function of the clocks.
 
 One family, ``LazyClocks``, holds them: a clock is drawn the first time
-it is read and memoized, so a run draws only the clocks it reaches.
-Drawing independent exponentials in data-dependent order leaves their
-joint law unchanged.
+it is read and memoized, as the next value of ``rng.exponentials`` over
+its rate, so a run draws only the clocks it reaches.  Drawing
+independent exponentials in data-dependent order leaves their joint law
+unchanged.
 
 The event along a self-avoiding path that every transmission clock beats
 the source's recovery clock and every maturation clock beats the removal
@@ -54,10 +55,12 @@ class LazyClocks:
     without one serves readers that pick their sites themselves.
 
     Draw contract: each clock read for the first time takes the next value
-    of ``rng.exponentials(rng)``, scaled by its rate, whatever its kind;
-    nothing is drawn before the first such read.  ``clear`` forgets every
-    memoized clock and keeps reading the same stream, so one instance
-    serves a run of independent replicas.
+    of ``rng.exponentials(rng)`` (windows of 64, 64, 128, ..., 4096, then
+    4096 each), scaled by its rate, whatever its kind; nothing is drawn
+    before the first such read.  ``clear`` forgets every memoized clock
+    and keeps reading the same stream, so one instance serves a run of
+    independent replicas.  Raises DomainError for a region that is empty
+    or mixes sites of different dimensions.
     """
 
     __slots__ = ("region", "recovery", "removal", "maturation", "transmission", "_p", "_draw")
@@ -68,7 +71,13 @@ class LazyClocks:
         rng: np.random.Generator,
         region: set[Site] | frozenset[Site] | None = None,
     ):
-        self.region = None if region is None else frozenset(region)
+        if region is not None:
+            region = frozenset(region)
+            if not region:
+                raise DomainError("clock region must be non-empty")
+            if len({len(x) for x in region}) != 1:
+                raise DomainError("clock region mixes sites of different dimensions")
+        self.region = region
         self.recovery: dict[Site, float] = {}
         self.removal: dict[Site, float] = {}
         self.maturation: dict[Site, float] = {}
@@ -110,12 +119,7 @@ def sample_clocks(
     region: set[Site] | frozenset[Site], p: ProcessParams, rng: np.random.Generator
 ) -> LazyClocks:
     """Clock family on a finite region; nothing is drawn until a clock is read."""
-    if not region:
-        raise DomainError("clock region must be non-empty")
-    frozen = frozenset(region)
-    if len({len(x) for x in frozen}) != 1:
-        raise DomainError("clock region mixes sites of different dimensions")
-    return LazyClocks(p, rng, frozen)
+    return LazyClocks(p, rng, region)
 
 
 def _region(clocks: LazyClocks) -> frozenset[Site]:

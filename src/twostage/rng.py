@@ -6,12 +6,12 @@ block number, ...).  Two runs with the same seed therefore produce
 identical results regardless of worker count or call order, and any
 single replica can be replayed in isolation.
 
-Draws that are consumed one at a time come in fills of _DRAW_BUF values,
-read in the growing windows of _WINDOWS, which amortize numpy's
-per-call cost without converting values that are never read:
-``event_draws`` iterates the (uniform, exponential) pairs that the event
-loops read, one per event, and ``exponentials`` yields the standard
-exponentials of a stream for lazily drawn clocks.
+Draws consumed one at a time come in windows of 64, 64, 128, ..., 4096
+values, then 4096 each, a window drawn when its first value is read:
+``event_draws`` draws w uniforms, then w exponentials, and pairs them
+for the event loops, one pair per event; ``exponentials`` draws w
+exponentials for lazily drawn clocks.  Nothing else is drawn, so a
+second reader of a generator goes on where the first stopped.
 
 Block seeding.  A stream is ``PCG64`` seeded through numpy's
 ``SeedSequence`` hash of the entropy words (seed, keys).  Replica loops
@@ -154,88 +154,33 @@ def mix_seed(seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-_DRAW_BUF = 8192
-# the windows that tile each fill, in reading order: the first is what
-# most replicas read in all, and no window holds more than half a fill
+# the windows a stream is drawn in, in reading order, then windows of
+# 4096 each: the first is what most replicas read in all
 _WINDOWS = (64, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def event_draws(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
     """Endless (uniform, exponential) pairs of rng, one pair per event.
 
-    The pairs are those of lockstep fills: _DRAW_BUF uniforms, then
-    _DRAW_BUF exponentials, pair i of a fill taking value i of each.
-    Most replicas use a handful of events, so each fill is read in the
-    growing windows of _WINDOWS, and a window is drawn when its first
-    pair is read.  A fill has two cursors: its uniforms start at the
-    fill's start state, its exponentials after a jump over the fill's
-    _DRAW_BUF uniforms, and the generator's state is saved and restored
-    around each window so that each kind is drawn from its own cursor.
-    The generator is left at the exponential cursor: after a fill read to
-    its end that is where lockstep fills leave it, and after a loop that
-    stops inside a fill it sits past the exponentials of the window that
-    holds the last pair read.  Generators whose jump is not counted in
-    64-bit outputs (MT19937, Philox, ...) take full fills.  Nothing is
-    drawn before the first pair is read.
-
-    The values are Python floats, converted from numpy's arrays a window
+    A window of w pairs is drawn when its first pair is read, as
+    ``rng.random(w)`` and then ``rng.standard_exponential(w)``, pair i
+    taking value i of each.  So nothing is drawn before the first pair is
+    read, and the generator is left at the end of the window that holds
+    the last pair read.  The values are Python floats, converted a window
     at a time, so the loop does no numpy-scalar arithmetic; ``chain``
     keeps the step from one pair to the next in C.
     """
-    return itertools.chain.from_iterable(_windows(rng))
-
-
-def _windows(rng: np.random.Generator) -> Iterator[Iterator[tuple[float, float]]]:
-    """The pairs of event_draws, one iterator per window."""
-    bg = rng.bit_generator
-    if not _jumps_by_output(bg):
-        while True:
-            u = rng.random(_DRAW_BUF).tolist()
-            yield zip(u, rng.standard_exponential(_DRAW_BUF).tolist())
-    first = _WINDOWS[0]
-    while True:
-        fill = bg.state
-        u = rng.random(first).tolist()  # one 64-bit output per double
-        bg.advance(_DRAW_BUF - first)
-        yield zip(u, rng.standard_exponential(first).tolist())
-        done = first
-        for size in _WINDOWS[1:]:
-            at_exponentials = bg.state
-            bg.state = fill
-            bg.advance(done)
-            u = rng.random(size).tolist()
-            bg.state = at_exponentials
-            yield zip(u, rng.standard_exponential(size).tolist())
-            done += size
-
-
-def _jumps_by_output(bg: np.random.BitGenerator) -> bool:
-    """Whether bg.advance(n) skips exactly n 64-bit outputs.
-
-    True for PCG64; Philox's advance counts four-output blocks, and
-    MT19937 has none.  Looked up at the call, not at import, because
-    numpy loads numpy.random lazily.
-    """
-    return isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM))
+    sizes = itertools.chain(_WINDOWS, itertools.repeat(_WINDOWS[-1]))
+    return itertools.chain.from_iterable(
+        zip(rng.random(w).tolist(), rng.standard_exponential(w).tolist()) for w in sizes
+    )
 
 
 def exponentials(rng: np.random.Generator) -> Iterator[float]:
-    """Standard exponentials of rng, as if drawn _DRAW_BUF at a time.
+    """Endless standard exponentials of rng, for lazily drawn clocks.
 
-    The values are those that follow one fill of _DRAW_BUF uniforms,
-    which are never read: the exponentials have always come after such a
-    fill, and this keeps pinned-seed streams where they are.  On PCG64
-    the fill is a jump (one 64-bit output per uniform double), on other
-    generators a draw.  Most readers want a few values, so each fill of
-    exponentials is read in the windows of _WINDOWS, a window drawn when
-    its first value is requested; numpy draws an array's exponentials one
-    after another from the stream, so the windows give the same values
-    as full fills.  Nothing is drawn before the first value is requested.
+    The windows are those of ``event_draws``, each drawn as
+    ``rng.standard_exponential(w)`` alone when its first value is read.
     """
-    if _jumps_by_output(rng.bit_generator):
-        rng.bit_generator.advance(_DRAW_BUF)
-    else:
-        rng.random(_DRAW_BUF)
-    while True:
-        for size in _WINDOWS:
-            yield from rng.standard_exponential(size).tolist()
+    sizes = itertools.chain(_WINDOWS, itertools.repeat(_WINDOWS[-1]))
+    return itertools.chain.from_iterable(rng.standard_exponential(w).tolist() for w in sizes)

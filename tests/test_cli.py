@@ -206,7 +206,7 @@ def test_trend_emits_target_constant(tmp_path):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_trend_output_golden(tmp_path, threads):
     # the box proxy at d = 4, 8 with tiny replica counts; recorded when
-    # the event loop looked neighbours up in a per-geometry memo
+    # each draw window held its uniforms, then its exponentials
     args = [
         "trend", "--d-list", "4,8", "--gamma", "1", "--delta", "1", "--eps", "0.05",
         "--probe-replicas", "20", "--bracket-replicas", "60",
@@ -214,7 +214,7 @@ def test_trend_output_golden(tmp_path, threads):
     ]
     out = run_cli(args, tmp_path, "trend.csv")
     assert hashlib.sha256(out).hexdigest() == (
-        "e284ec3f4a4369e39d69db4e43706ea5b62a8d64dbdf6882347cc77b4f1f2c4f"
+        "72d4a21a231ebc32be426b5520f4cede6402244bb4ad265799ba7c20a1198888"
     )
 
 
@@ -265,8 +265,8 @@ def test_interrupted_trend_exits_promptly_and_leaves_no_process(tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_bisect_output_golden(tmp_path, threads):
-    # recorded when probes first stopped at the shortest replica prefix
-    # that settles their decision; lambda_hat 0.890625 as before
+    # recorded when each draw window held its uniforms, then its
+    # exponentials; lambda_hat 0.984375
     args = [
         "bisect", "--d", "2", "--gamma", "1", "--delta", "1", "--tol", "0.1",
         "--bracket-replicas", "150", "--probe-replicas", "100", "--cap", "150",
@@ -274,7 +274,7 @@ def test_bisect_output_golden(tmp_path, threads):
     ]
     out = run_cli(args, tmp_path, "bisect.csv")
     assert hashlib.sha256(out).hexdigest() == (
-        "8d07d851cb8bb40216d4a1d212ea7dd9a74017f16562b3ca8f4d79f985411755"
+        "0695793b61937c72f78892e03d24235ab119340be245b3460f74746ddd9e0e99"
     )
 
 
@@ -352,11 +352,11 @@ def test_oracle_check_quick_suite(tmp_path):
 
 
 def test_oracle_check_output_golden(tmp_path):
-    # recorded when each replica ran once per time point; the one-pass
-    # marginal check must count the same replicas in the same states
+    # recorded when each draw window held its uniforms, then its
+    # exponentials; the one-pass marginal check runs each replica once
     out = run_cli(["oracle-check", "--replicas", "500", "--seed", "11"], tmp_path, "oc.csv")
     assert hashlib.sha256(out).hexdigest() == (
-        "d2f5c430558ec79dca8960fca5a040120181f2f67ccf8b115aabdb69bb35d5d2"
+        "3aa04faff9f53d8d54f69a6b7114ac124a54291d1f55c4066096209417be4ef0"
     )
 
 

@@ -392,6 +392,23 @@ def test_bisect_leaves_no_worker_running(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_bisection_of_one_replica_probes_forks_no_pool(monkeypatch):
+    # every round holds one replica, so a pool would never be used
+    pools = []
+    real_pool = parallel.multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
+    kwargs = dict(probe_replicas=1, bracket_replicas=1, proxy=FAST_PROXY, seed=0)
+    pooled = bisect_critical("contact", 2, 1.0, 1.0, workers=2, **kwargs)
+    assert len(pooled.probes) > 3
+    assert pools == []
+    assert pooled.probes == bisect_critical("contact", 2, 1.0, 1.0, **kwargs).probes
+
+
 def step_curve_replicas(lam_star):
     """A run_replicas whose replica i survives with probability 1[lambda >= lam_star].
 

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import math
+import pickle
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from twostage import engine
 from twostage.engine import (
     FULL,
     HEALTHY,
@@ -350,14 +352,12 @@ def test_all_full_config_covers_domain():
 # ----------------------------------------------------------------------
 # draw contract: a replica's draws are a fixed function of its stream
 # ----------------------------------------------------------------------
-# Fingerprints recorded when every replica took two full 8192-draw fills
-# (uniforms, then exponentials) before its first event; the d = 8 and
-# d = 2 torus rows date from memoized neighbour tuples, before the loop
-# computed neighbours from per-direction strides.  The comment on
-# each row is the number of (uniform, exponential) pairs the replica
-# reads: up to 64 stays inside the first window of the first fill, each
-# later window of 64, 128, ..., 4096 pairs is drawn when it is reached,
-# and more than 8192 goes on into the second fill.
+# Fingerprints recorded when every stream was drawn in windows of 64,
+# 64, 128, ..., 4096 pairs and then 4096 each, a window of w pairs as w
+# uniforms and then w exponentials.  The comment on each row is the
+# number of (uniform, exponential) pairs the replica reads: up to 64
+# stays inside the first window, each later window is drawn when it is
+# reached, and the rows past 8192 pairs go on into the windows of 4096.
 SPREAD_SETUPS = {
     # name: (d, domain, (lam, gamma, delta), horizon)
     "ring": (1, Torus(3), (0.8, 1.0, 1.0), 2.0),
@@ -373,29 +373,29 @@ SPREAD_SETUPS = {
 }
 GOLDEN_SPREAD = [
     # kind, setup, seed, replica, event_count, extinction_time, final digest
-    ("contact", "ring", 41, 0, 5, None, "957d8ce7bae2b149"),  # 9 pairs
-    ("contact", "ring", 41, 1, 6, 1.0876909256879248, "4f53cda18c2baa0c"),  # 6
-    ("contact", "ring", 41, 2, 7, None, "d15322468c7bf07f"),  # 7
-    ("contact", "ring", 41, 3, 4, None, "d15322468c7bf07f"),  # 5
-    ("sir", "ring", 42, 0, 3, 1.7696191479573473, "2118b09479269d85"),  # 5
-    ("sir", "ring", 42, 1, 5, None, "78b445a25ad57e1e"),  # 11
-    ("sir", "ring", 42, 2, 1, 0.1556434299455173, "227ac23236268e01"),  # 1
-    ("sir", "ring", 42, 3, 1, 1.8919109136866727, "227ac23236268e01"),  # 1
-    ("contact", "box2", 43, 1, 56, 6.538259662777585, "4f53cda18c2baa0c"),  # 65
-    ("sir", "box2-sir", 44, 0, 37, 5.226100923748302, "beef02667d76440a"),  # 124
-    ("sir", "box2-sir", 44, 2, 37, 2.6039391626665265, "ef2d3845ba4be2b4"),  # 67
-    ("contact", "box2-long", 45, 0, 9523, None, "b2235e38e36638c4"),  # 20796
-    ("contact", "box2-long", 45, 3, 7732, None, "785247bd8caceed5"),  # 16550
-    ("sir", "box3-sir", 51, 0, 8258, 30.539326553525573, "2b64096c1a2e68c0"),  # 19448
-    ("contact", "box8", 71, 0, 647, None, "f4d809016f157ef9"),  # 728
-    ("contact", "box8", 71, 3, 1510, None, "315b1a262552cd08"),  # 1708
-    ("contact", "box8", 71, 4, 4, 0.5603280941514954, "4f53cda18c2baa0c"),  # 5
-    ("sir", "box8-sir", 72, 0, 4, 0.2008630480497818, "2ade2d542610a0bd"),  # 4
-    ("sir", "box8-sir", 72, 1, 11875, 31.960932776640817, "f353f12ceb1e61a1"),  # 24556
-    ("contact", "torus2", 73, 1, 118, 8.123830736193426, "4f53cda18c2baa0c"),  # 159
-    ("contact", "torus2", 73, 2, 278, None, "745b2da9867e64b7"),  # 521
-    ("sir", "torus2-sir", 74, 0, 51, 5.979060599244783, "ba900288a44b1882"),  # 135
-    ("sir", "torus2-sir", 74, 4, 3, 0.5448345932471994, "1ed2d7c2bc56a2f5"),  # 3
+    ("contact", "ring", 41, 0, 7, None, "d768b3c75d0c15e8"),  # 16 pairs
+    ("contact", "ring", 41, 1, 4, None, "9255178249b91e46"),  # 5
+    ("contact", "ring", 41, 2, 7, None, "d15322468c7bf07f"),  # 8
+    ("contact", "ring", 41, 3, 9, None, "d15322468c7bf07f"),  # 13
+    ("sir", "ring", 42, 0, 3, 1.750314301401796, "2118b09479269d85"),  # 5
+    ("sir", "ring", 42, 1, 4, None, "ac8f0eb1f9dacfc3"),  # 8
+    ("sir", "ring", 42, 2, 1, 0.49239253788244836, "227ac23236268e01"),  # 1
+    ("sir", "ring", 42, 3, 1, 0.24116513220464478, "227ac23236268e01"),  # 1
+    ("contact", "box2", 43, 1, 56, 4.733249505274189, "4f53cda18c2baa0c"),  # 65
+    ("sir", "box2-sir", 44, 0, 53, 6.360670252155435, "4df74c06c050ace5"),  # 163
+    ("sir", "box2-sir", 44, 2, 38, 1.8862465415813858, "ef2d3845ba4be2b4"),  # 68
+    ("contact", "box2-long", 45, 0, 10034, None, "fa686206b25334fa"),  # 21955
+    ("contact", "box2-long", 45, 3, 8597, None, "a89e6eb133ef7c16"),  # 18482
+    ("sir", "box3-sir", 51, 0, 8322, 24.074068621999405, "66e68bd77ecde7f9"),  # 20011
+    ("contact", "box8", 71, 0, 1422, None, "6eccf696a06b374c"),  # 1623
+    ("contact", "box8", 71, 3, 973, None, "f5fbdc5732b63309"),  # 1106
+    ("contact", "box8", 71, 4, 4, 0.4613529745281696, "4f53cda18c2baa0c"),  # 5
+    ("sir", "box8-sir", 72, 0, 4, 0.37771865416962946, "2ade2d542610a0bd"),  # 4
+    ("sir", "box8-sir", 72, 1, 11515, 28.378054655785665, "3a7e67bb7cc0c9bc"),  # 24044
+    ("contact", "torus2", 73, 1, 66, 3.953658272413403, "4f53cda18c2baa0c"),  # 89
+    ("contact", "torus2", 73, 2, 435, None, "51211abc11bca9a4"),  # 792
+    ("sir", "torus2-sir", 74, 0, 52, 9.278599389319863, "eb156412f493143c"),  # 160
+    ("sir", "torus2-sir", 74, 4, 3, 0.1640891643568572, "1ed2d7c2bc56a2f5"),  # 3
 ]
 LINEAR_SETUPS = {
     # name: (d, domain, (lam, gamma, delta), initial pair at the origin or
@@ -408,16 +408,16 @@ LINEAR_SETUPS = {
     "box3": (3, Box(2), (2.0, 1.0, 1.0), (1, 0), [1.0, 3.0]),
 }
 GOLDEN_LINEAR = [
-    # setup, seed, replica, digest of each snapshot; recorded when each lam
-    # clock was indexed by its source, so only nonzero pairs hold clocks
-    ("ring", 46, 0, ["acdecaa61ce65f86"]),  # 6 pairs
-    ("ring", 46, 2, ["5844e05f76ad19c6"]),  # 7
-    ("box2", 47, 0, ["7037e6ef477ad190", "b16fd908a06a6786"]),  # 119
+    # setup, seed, replica, digest of each snapshot; recorded with the
+    # windows of GOLDEN_SPREAD, each lam clock indexed by its source
+    ("ring", 46, 0, ["5844e05f76ad19c6"]),  # 10 pairs
+    ("ring", 46, 2, ["3cd3374b57072acc"]),  # 3
+    ("box2", 47, 0, ["e13375823f3aeb80", "b59801c5426867a1"]),  # 105
     ("box2", 47, 2, ["5b853cb4de4d5fa8", "4f53cda18c2baa0c"]),  # 13
-    ("torus2-all", 48, 0, ["fbc3d949adb04488"]),  # 63
-    ("torus2-all", 48, 4, ["8988f7b5b8342962"]),  # 73
-    ("box3", 49, 0, ["4a701d6a4c6c1d17", "f7aad30debc9e15f"]),  # 301
-    ("box3", 49, 3, ["8224d2f00a831876", "07115e8f8cd9898f"]),  # 344
+    ("torus2-all", 48, 0, ["70d3ace354797822"]),  # 72
+    ("torus2-all", 48, 4, ["3957679f6f8576c8"]),  # 58
+    ("box3", 49, 0, ["eb69186e4c556069", "03d66f0317906855"]),  # 176
+    ("box3", 49, 3, ["931a01362c2fa345", "48faae31c6a6e1f9"]),  # 534
 ]
 
 
@@ -438,13 +438,21 @@ def _linear(setup, rng):
     return simulate_linear(init, ProcessParams(*rates), g, times, rng)
 
 
-def _lockstep_state(seed, replica, fills):
-    """Generator state after `fills` full fills of uniforms then exponentials."""
-    rng = substream(seed, replica)
-    for _ in range(fills):
-        rng.random(8192)
-        rng.standard_exponential(8192)
-    return rng.bit_generator.state
+def _stream(name, seed, replica):
+    if name == "PCG64":
+        return substream(seed, replica)
+    return np.random.Generator(getattr(np.random, name)([seed, replica]))
+
+
+def _window_state(rng, pairs):
+    """rng's state after drawing every window that holds one of its first `pairs` pairs."""
+    drawn = 0
+    for w in itertools.chain([64, 64, 128, 256, 512, 1024, 2048], itertools.repeat(4096)):
+        if drawn >= pairs:
+            return pickle.dumps(rng.bit_generator.state)
+        rng.random(w)
+        rng.standard_exponential(w)
+        drawn += w
 
 
 @pytest.mark.parametrize("kind,setup,seed,replica,events,extinction,final", GOLDEN_SPREAD)
@@ -461,88 +469,38 @@ def test_linear_draws_are_fixed_by_the_stream(setup, seed, replica, finals):
     assert [_digest(s.values) for s in snaps] == finals
 
 
-def test_peek_is_the_prefix_of_the_full_fill_and_replays_it():
-    # the first window is the 64-pair peek; slices of 5 values on each side
-    # of every window edge, and the rest between them, read three fills
-    # whose pairs and end states are those of lockstep fills
-    edges = [0, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
-    cuts = {f * 8192 + e + k for f in range(3) for e in edges[1:] for k in (-5, 0, 5)}
-    cuts = sorted({0} | {c for c in cuts if c <= 3 * 8192})
-    for i in range(50):
-        full = substream(53, i)
-        lockstep = []
-        for _ in range(3):
-            u = full.random(8192)
-            lockstep += zip(u.tolist(), full.standard_exponential(8192).tolist())
-        rng = substream(53, i)
-        before = rng.bit_generator.state
-        draws = event_draws(rng)
-        assert rng.bit_generator.state == before  # nothing is drawn until a pair is read
-        for lo, hi in zip(cuts, cuts[1:]):
-            got = list(itertools.islice(draws, hi - lo))
-            assert got == lockstep[lo:hi], (i, lo, hi)
-            assert all(type(x) is float for pair in got for x in pair)
-            if hi % 8192 == 0:
-                assert rng.bit_generator.state == _lockstep_state(53, i, hi // 8192)
-
-
-def test_state_after_a_peeked_replica_is_past_every_output_it_read():
-    # the replica read uniforms from outputs 0..63 and exponentials from
-    # output 8192 on, so a second call on this generator reuses none of them
-    for run in (lambda rng: _spread("contact", "ring", rng), lambda rng: _linear("ring", rng)):
-        rng = substream(41, 0)
-        run(rng)
-        expected = substream(41, 0)
-        expected.bit_generator.advance(8192)
-        expected.standard_exponential(64)
-        assert rng.bit_generator.state == expected.bit_generator.state
-
-
 @pytest.mark.parametrize(
-    "kind,setup,seed,replica,fills,exponentials",
+    "stream,kind,setup,seed,replica,pairs",
     [
-        ("contact", "box2", 43, 1, 0, 128),  # 65 pairs: the second window
-        ("sir", "box2-sir", 44, 0, 0, 128),  # 124 pairs: the second window
-        ("linear", "box2", 47, 0, 0, 128),  # 119 pairs: the second window
-        ("linear", "box3", 49, 0, 0, 512),  # 301 pairs: the fourth window
-        ("contact", "box2-long", 45, 0, 3, 0),  # 20796 pairs: its third fill read to the end
+        ("PCG64", "contact", "ring", 41, 0, 16),  # the first window
+        ("PCG64", "contact", "box2", 43, 1, 65),  # the second
+        ("PCG64", "linear", "box2", 47, 0, 105),  # the second
+        ("PCG64", "sir", "box2-sir", 44, 0, 163),  # the third
+        ("PCG64", "linear", "box3", 49, 0, 176),  # the third
+        ("PCG64", "linear", "box3", 49, 3, 534),  # the fifth
+        ("PCG64", "contact", "box2-long", 45, 0, 21955),  # the twelfth, past 2 * 8192 pairs
+        ("MT19937", "sir", "box2-sir", 44, 0, 73),  # the second
+        ("Philox", "contact", "box8", 71, 3, 630),  # the fifth
     ],
 )
-def test_state_after_a_replica_is_past_the_window_of_its_last_pair(
-    kind, setup, seed, replica, fills, exponentials
-):
-    # whole fills leave the generator where lockstep fills do; inside a
-    # fill it sits past the fill's uniforms and the exponentials up to the
-    # end of the window that holds the last pair read
-    rng = substream(seed, replica)
+def test_replica_state_ends_its_last_window(monkeypatch, stream, kind, setup, seed, replica, pairs):
+    # every generator follows the one layout, so a second call on it reads
+    # on from the window after the last one this replica drew
+    read = []
+
+    def counted(rng):
+        for pair in event_draws(rng):
+            read.append(pair)
+            yield pair
+
+    monkeypatch.setattr(engine, "event_draws", counted)
+    rng = _stream(stream, seed, replica)
     if kind == "linear":
         _linear(setup, rng)
     else:
         _spread(kind, setup, rng)
-    expected = substream(seed, replica)
-    expected.bit_generator.state = _lockstep_state(seed, replica, fills)
-    if exponentials:
-        expected.bit_generator.advance(8192)
-        expected.standard_exponential(exponentials)
-    assert rng.bit_generator.state == expected.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "bit_generator,seed,events,extinction",
-    [(np.random.MT19937, 7, 1, 0.14478959082733972), (np.random.Philox, 8, 3, 1.0460565981573622)],
-)
-def test_generators_without_an_output_counted_jump_take_the_full_fill(
-    bit_generator, seed, events, extinction
-):
-    # MT19937 has no advance and Philox advances in four-output blocks:
-    # both read the whole first fill up front, as every generator once did
-    rng = np.random.Generator(bit_generator(seed))
-    out = _spread("contact", "ring", rng)
-    assert (out.event_count, out.extinction_time) == (events, extinction)
-    ref = np.random.Generator(bit_generator(seed))
-    ref.random(8192)
-    ref.standard_exponential(8192)
-    assert (rng.random(4) == ref.random(4)).all()
+    assert len(read) == pairs
+    assert pickle.dumps(rng.bit_generator.state) == _window_state(_stream(stream, seed, replica), pairs)
 
 
 # ----------------------------------------------------------------------

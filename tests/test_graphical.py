@@ -1,10 +1,7 @@
-import functools
 import hashlib
-import itertools
 import math
 import struct
 
-import numpy as np
 import pytest
 
 from twostage.engine import FULL, SEMI, SparseConfig, simulate
@@ -48,11 +45,16 @@ def test_sample_clocks_counts():
 def test_sample_clocks_empty_region_rejected():
     with pytest.raises(DomainError):
         sample_clocks(set(), P, substream(2))
+    # the family checks its own region, whoever builds it
+    with pytest.raises(DomainError):
+        LazyClocks(P, substream(2), frozenset())
 
 
 def test_sample_clocks_mixed_dimensions_rejected():
     with pytest.raises(DomainError):
         sample_clocks({(0,), (1, 0), (5,)}, P, substream(2))
+    with pytest.raises(DomainError):
+        LazyClocks(P, substream(2), {(0,), (1, 0)})
 
 
 def _brute_pairs(region):
@@ -157,7 +159,7 @@ def test_path_event_probability_closed_form():
     n = 100000
     hits = 0
     # one family on one stream, cleared per draw: a fresh family's first
-    # read costs a jump over a uniform fill and a window of exponentials
+    # read costs a window of exponentials
     clocks = sample_clocks(region, p, substream(4))
     for _ in range(n):
         clocks.clear()
@@ -200,30 +202,12 @@ def _lazy_clock_values(clocks, n_sites):
 
 
 def test_lazy_clock_stream_golden():
-    # pinned stream: one fill of 8192 uniforms that are never read, then
-    # exponentials in fills of 8192, each read in windows of 64, 64, 128,
-    # ..., 4096; 22 000 fresh draws run into the third fill
+    # pinned stream: exponentials in windows of 64, 64, 128, ..., 4096,
+    # then 4096 each; 22 000 fresh draws reach the twelfth window
     values = _lazy_clock_values(LazyClocks(P, substream(31)), 5500)
     assert len(values) == 25144
     digest = hashlib.sha256(b"".join(struct.pack("<d", v) for v in values)).hexdigest()
-    assert digest == "d7a74d9adf0854cc6b3776f1dbec62427ec9eb66d2f7ee6bc562dc57666c8bcd"
-
-
-def test_exponentials_follow_one_unread_uniform_fill():
-    # PCG64 jumps over the unread uniforms and every generator reads its
-    # exponentials in windows; both must give the values of a drawn
-    # uniform fill followed by full exponential fills
-    makers = [functools.partial(substream, 33)]
-    makers += [functools.partial(substream, 33, i) for i in range(30)]
-    makers += [
-        lambda: np.random.Generator(np.random.MT19937(33)),
-        lambda: np.random.Generator(np.random.Philox(33)),
-    ]
-    for make in makers:
-        ref = make()
-        ref.random(8192)
-        want = ref.standard_exponential(3 * 8192)[:20000].tolist()
-        assert list(itertools.islice(exponentials(make()), 20000)) == want
+    assert digest == "d1d0e78d437219f01ed8edd8acda518aa04cd1f285e4fd4b46fe21fa82aaaf9d"
 
 
 def test_lazy_clocks_clear_forgets_clocks_and_keeps_the_stream():

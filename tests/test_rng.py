@@ -1,13 +1,15 @@
+import itertools
 import os
 import pickle
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import twostage
 from twostage import rng as rng_mod
-from twostage.rng import substream
+from twostage.rng import event_draws, exponentials, substream
 
 _MASK64 = (1 << 64) - 1
 
@@ -76,3 +78,67 @@ def test_import_does_not_load_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ----------------------------------------------------------------------
+# draw layout: windows of 64, 64, 128, ..., 4096 values, then 4096 each;
+# a window of w is drawn when its first value is read, as w uniforms and
+# then w exponentials (event_draws) or w exponentials alone (exponentials)
+# ----------------------------------------------------------------------
+WINDOWS = [64, 64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096, 4096]
+ENDS = list(itertools.accumulate(WINDOWS))  # past 2 * 8192 values
+
+
+def _state(gen):
+    # MT19937's and Philox's states hold arrays, which do not compare as a whole
+    return pickle.dumps(gen.bit_generator.state)
+
+
+def _layout(gen, pairs):
+    """The values of every window of WINDOWS in plain numpy draws, and
+    gen's state after each window."""
+    values, states = [], []
+    for w in WINDOWS:
+        if pairs:
+            values += zip(gen.random(w).tolist(), gen.standard_exponential(w).tolist())
+        else:
+            values += gen.standard_exponential(w).tolist()
+        states.append(_state(gen))
+    return values, states
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize("read", [event_draws, exponentials])
+def test_draws_follow_one_window_layout_on_every_generator(bit_generator, read):
+    pairs = read is event_draws
+    # slices of 5 values on each side of every window edge, and the rest
+    # between them; after each slice the generator sits at the end of the
+    # window that holds the last value read
+    cuts = sorted({0} | {e + k for e in ENDS for k in (-5, 0, 5) if e + k <= ENDS[-1]})
+    for seed in (3, 4):
+        want, states = _layout(np.random.Generator(bit_generator(seed)), pairs)
+        rng = np.random.Generator(bit_generator(seed))
+        before = _state(rng)
+        draws = read(rng)
+        assert _state(rng) == before  # nothing is drawn until a value is read
+        for lo, hi in zip(cuts, cuts[1:]):
+            got = list(itertools.islice(draws, hi - lo))
+            assert got == want[lo:hi], (seed, lo, hi)
+            flat = itertools.chain.from_iterable(got) if pairs else got
+            assert all(type(x) is float for x in flat)
+            window = next(i for i, e in enumerate(ENDS) if e >= hi)
+            assert _state(rng) == states[window], (seed, hi)
+
+
+def test_a_second_reader_goes_on_where_the_first_stopped():
+    # 70 pairs reach the second window; a clock stream on the same
+    # generator starts after it
+    rng = substream(5, 1)
+    list(itertools.islice(event_draws(rng), 70))
+    first_clock = next(exponentials(rng))
+    ref = substream(5, 1)
+    for w in (64, 64):
+        ref.random(w)
+        ref.standard_exponential(w)
+    assert first_clock == ref.standard_exponential(64)[0]
+    assert rng.bit_generator.state == ref.bit_generator.state
