@@ -7,7 +7,8 @@ Tables are written as CSV, heterogeneous reports as JSON lines; both
 start with a metadata block (tool version, resolved configuration,
 master seed) so every file is self-describing.  Identical configuration
 and seed produce byte-identical output regardless of worker count; wall
-clock goes to stderr only, to keep the files deterministic.
+clock goes to stderr only, to keep the files deterministic.  ``main`` opens
+each command's one ``parallel.pool_scope``, of ``--threads`` workers.
 
 Option precedence is flags > config file > built-in defaults.  The
 config file is flat ``key = value`` text; keys are the long option
@@ -331,7 +332,7 @@ def _proxy(res: Resolver, d: int) -> critical.ProxySettings:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_simulate(res: Resolver, writer: OutputWriter, seed: int) -> int:
     kind = res.get("kind", "contact")
     p = _params(res)
     d = res.required("d")
@@ -347,7 +348,7 @@ def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     horizon = res.get("horizon", base.horizon)
     cap = res.get("cap", base.active_cap)
     replicas = res.get("replicas", 1000)
-    rows = critical.run_replicas(kind, d, p, domain, horizon, cap, replicas, seed, workers)
+    rows = critical.run_replicas(kind, d, p, domain, horizon, cap, replicas, seed)
     writer.meta(_base_meta("simulate", res))
     writer.table(
         ("replica", "survived", "extinction_time", "peak_active", "event_count"),
@@ -356,7 +357,7 @@ def cmd_simulate(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     return 0
 
 
-def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_sweep(res: Resolver, writer: OutputWriter, seed: int) -> int:
     kind = res.get("kind", "contact")
     d = res.required("d")
     lams = res.required("lambdas")
@@ -365,17 +366,16 @@ def cmd_sweep(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
     replicas = res.get("replicas", 2000)
     proxy = _proxy(res, d)
     rows = []
-    with pool_scope(workers):
-        for lam in lams:
-            p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-            est = critical.estimate_survival(kind, d, p, proxy, replicas, seed, workers)
-            rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
+    for lam in lams:
+        p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
+        est = critical.estimate_survival(kind, d, p, proxy, replicas, seed)
+        rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
     writer.meta(_base_meta("sweep", res))
     writer.table(("d", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high"), rows)
     return 0
 
 
-def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_bisect(res: Resolver, writer: OutputWriter, seed: int) -> int:
     kind = res.get("kind", "contact")
     d = res.required("d")
     gamma = res.get("gamma", 1.0)
@@ -392,7 +392,6 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> 
         lambda_max=res.get("lambda_max"),
         proxy=_proxy(res, d),
         seed=seed,
-        workers=workers,
     )
     writer.meta(_base_meta("bisect", res))
     header = (
@@ -419,7 +418,7 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> 
     return 0
 
 
-def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_trend(res: Resolver, writer: OutputWriter, seed: int) -> int:
     kind = res.get("kind", "contact")
     d_list = res.required("d_list")
     gamma = res.get("gamma", 1.0)
@@ -435,7 +434,6 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
         bracket_replicas=res.get("bracket_replicas", critical.BRACKET_REPLICAS),
         proxy=proxies,
         seed=seed,
-        workers=workers,
     )
     # proxy defaults depend on d: record each dimension's effective settings
     # in place of the horizon/cap/radius resolved for the last one
@@ -451,7 +449,7 @@ def cmd_trend(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> i
     return 0
 
 
-def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_ode(res: Resolver, writer: OutputWriter, seed: int) -> int:
     d = res.required("d")
     p = _params(res)
     times = res.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
@@ -475,7 +473,7 @@ def cmd_ode(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int
     return 0
 
 
-def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_sawbound(res: Resolver, writer: OutputWriter, seed: int) -> int:
     d = res.required("d")
     gamma = res.get("gamma", 1.0)
     delta = res.get("delta", 1.0)
@@ -525,7 +523,7 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, workers: int, seed: int) -
     return 0
 
 
-def cmd_oracle_check(res: Resolver, writer: OutputWriter, workers: int, seed: int) -> int:
+def cmd_oracle_check(res: Resolver, writer: OutputWriter, seed: int) -> int:
     suite = res.get("suite", "all")
     if suite != "all":
         raise ParameterError(f"unknown suite {suite!r} (only 'all' is defined)")
@@ -621,8 +619,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_path = res.get("out", "-")
         # tables default to CSV; the mixed-record sawbound report to JSON lines
         fmt = res.get("fmt", "jsonl" if args.command == "sawbound" else "csv")
-        with OutputWriter(out_path, fmt) as writer:
-            code = args.func(res, writer, workers, seed)
+        with OutputWriter(out_path, fmt) as writer, pool_scope(workers):
+            code = args.func(res, writer, seed)
     except (ParameterError, DomainError) as exc:
         print(f"twostage: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -60,12 +60,13 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .engine import FULL, SparseConfig, kind_states, simulate
+from . import parallel
+from .engine import FULL, SparseConfig, kind_states, simulate, simulate_many
 from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
-from .parallel import chunked_map, pool_scope
+from .parallel import chunked_map  # bound here by name: perfbench/tracer.py wraps it
 from .rng import float_key, mix_seed, substream
 
 DEFAULT_EPS = 0.02
@@ -83,6 +84,14 @@ class ProxySettings:
     horizon: float = 100.0
     active_cap: int = 5000
     box_radius: int = 50
+
+    def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ParameterError(f"proxy horizon must be positive and finite, got {self.horizon}")
+        if self.active_cap < 1:
+            raise ParameterError(f"proxy cap must be >= 1, got {self.active_cap}")
+        if self.box_radius < 0:
+            raise ParameterError(f"proxy box radius must be >= 0, got {self.box_radius}")
 
     @classmethod
     def default_for(cls, d: int) -> "ProxySettings":
@@ -236,7 +245,6 @@ def run_replicas(
     cap: int,
     replicas: int,
     seed: int,
-    workers: int = 1,
     *,
     start: int = 0,
 ) -> list[tuple]:
@@ -244,23 +252,25 @@ def run_replicas(
 
     Each row is (survived, extinction_time, peak_active, event_count).
     Replica i uses the derived stream (seed, i), so the rows are identical
-    for any worker count and any split of the indices into calls.
-    Raises ParameterError, before any worker starts, for an unknown kind
-    or for fewer than one replica or worker.
+    for any worker count and any split of the indices into calls.  The
+    replicas run in chunks on the open ``parallel.pool_scope``'s pool, or
+    serially outside one.  Raises ParameterError, before any chunk is
+    mapped, for fewer than one replica or for a run that ``simulate``
+    would refuse.
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    kind_states(kind)
+    init = SparseConfig(states={origin(d): FULL})
+    # checks the whole run on no stream, so a refused run maps nothing
+    simulate_many(kind, init, p, LatticeGeometry(d, domain), horizon, (), cap)
     # up to four chunks a worker, so a few slow replicas do not idle the rest
-    chunk = math.ceil(replicas / (4 * workers))
+    chunk = math.ceil(replicas / (4 * parallel.size()))
     end = start + replicas
     chunks = [
         (kind, d, p, domain, horizon, cap, seed, lo, min(lo + chunk, end))
         for lo in range(start, end, chunk)
     ]
-    return [row for part in chunked_map(_replica_chunk, chunks, workers) for row in part]
+    return [row for part in chunked_map(_replica_chunk, chunks) for row in part]
 
 
 def estimate_survival(
@@ -270,7 +280,6 @@ def estimate_survival(
     proxy: ProxySettings,
     replicas: int,
     seed: int,
-    workers: int = 1,
     *,
     eps: Optional[float] = None,
 ) -> SurvivalEstimate:
@@ -285,8 +294,8 @@ def estimate_survival(
     The replicas run in rounds.  A round speculates past the fewest
     replicas that could fix the decision: it runs until a yes is expected
     at the prefix's survival rate (k+1)/(m+2), but stops where a no could
-    first be fixed, and holds at least one replica per worker.  Raises
-    ParameterError unless ``replicas`` >= 1 and eps is in (0, 1).
+    first be fixed, and holds at least one replica per worker, ``parallel.size()``.
+    Raises ParameterError unless ``replicas`` >= 1 and eps is in (0, 1).
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
@@ -295,7 +304,7 @@ def estimate_survival(
     args = (kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap)
     if eps is None:
         trials = replicas
-        survivals = sum(row[0] for row in run_replicas(*args, replicas, seed, workers))
+        survivals = sum(row[0] for row in run_replicas(*args, replicas, seed))
     else:
         looks = probe_looks(replicas, eps)
         trials = survivals = 0
@@ -307,8 +316,8 @@ def estimate_survival(
             r_yes = curtail(looks, repeat(1), trials, survivals)[0] - trials
             r_yes = math.ceil(r_yes * (trials + 2) / (survivals + 1))
             size = curtail(looks, repeat(0, r_yes), trials, survivals)[0] - trials
-            size = min(max(workers, size), replicas - trials)
-            rows = run_replicas(*args, size, seed, workers, start=trials)
+            size = min(max(parallel.size(), size), replicas - trials)
+            rows = run_replicas(*args, size, seed, start=trials)
             trials, survivals, decision = curtail(looks, (row[0] for row in rows), trials, survivals)
     ci_low, ci_high = wilson_interval(survivals, trials)
     return SurvivalEstimate(
@@ -362,7 +371,6 @@ def bisect_critical(
     lambda_max: Optional[float] = None,
     proxy: Optional[ProxySettings] = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> CriticalEstimate:
     """Locate the eps-crossing of the survival curve by bisection.
 
@@ -375,14 +383,12 @@ def bisect_critical(
     prefix that settled its decision, plus the bisection phase and
     whether that prefix is shorter than the probe's replicas ("early")
     or all of them ("full").  The Wilson interval on the prefix is not
-    adjusted for the curtailment.  The bisection runs inside a
-    ``pool_scope`` of ``workers``, or of the larger replica count if that
-    is fewer, since no round holds more replicas than its probe: with
-    more than one it forks one pool for all its probes, gone when this
-    returns or raises, unless an enclosing scope's pool serves them.
-    Raises ParameterError, before any worker starts, unless ``tol`` and
-    ``lambda_max`` are positive and finite, both replica counts and
-    ``workers`` are at least 1 and the kind is known, and BracketError
+    adjusted for the curtailment.  The probes' replicas run on the open
+    ``parallel.pool_scope``'s pool, one for all of them, or serially
+    outside a scope; a probe whose rounds hold one replica each runs
+    serially either way.  Raises ParameterError, before any replica runs,
+    unless ``tol`` and ``lambda_max`` are positive and finite, both
+    replica counts are at least 1 and the kind is known, and BracketError
     when no bracket exists below ``lambda_max`` (default 64x the lower
     bound).
 
@@ -396,49 +402,45 @@ def bisect_critical(
     dominates and estimates sit above the proven lower bound.
     """
     lb, tol, lambda_max, proxy = _bisection_inputs(
-        kind, d, gamma, delta, eps, tol, probe_replicas, bracket_replicas, lambda_max, proxy,
-        workers,
+        kind, d, gamma, delta, eps, tol, probe_replicas, bracket_replicas, lambda_max, proxy
     )
     probes: list[ProbeRecord] = []
 
     def probe(lam: float, phase: str, replicas: int) -> float:
         p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
-        est = estimate_survival(
-            kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), workers, eps=eps
-        )
+        est = estimate_survival(kind, d, p, proxy, replicas, mix_seed(seed, float_key(lam)), eps=eps)
         stop = "early" if est.trials < replicas else "full"
         probes.append(ProbeRecord(**vars(est), phase=phase, stop=stop))
         return est.p_hat
 
-    with pool_scope(min(workers, max(probe_replicas, bracket_replicas))):
-        lo = lb
-        p_lo = probe(lo, "bracket-low", bracket_replicas)
-        if p_lo >= eps:
+    lo = lb
+    p_lo = probe(lo, "bracket-low", bracket_replicas)
+    if p_lo >= eps:
+        raise BracketError(
+            f"survival {p_lo:.4f} >= eps {eps} already at the lower bound {lb:.6f}; "
+            "no bracket below it exists.  The alive-at-horizon proxy "
+            f"({proxy.describe()}) counts replicas still active at the horizon "
+            "or at the cap as survivors, so a short horizon raises survival at "
+            "every rate; use a longer --horizon"
+        )
+    hi = 2.0 * lb
+    while True:
+        if hi > lambda_max:
             raise BracketError(
-                f"survival {p_lo:.4f} >= eps {eps} already at the lower bound {lb:.6f}; "
-                "no bracket below it exists.  The alive-at-horizon proxy "
-                f"({proxy.describe()}) counts replicas still active at the horizon "
-                "or at the cap as survivors, so a short horizon raises survival at "
-                "every rate; use a longer --horizon"
+                f"no rate with survival above eps={eps} found up to lambda_max={lambda_max:.6f}"
             )
-        hi = 2.0 * lb
-        while True:
-            if hi > lambda_max:
-                raise BracketError(
-                    f"no rate with survival above eps={eps} found up to lambda_max={lambda_max:.6f}"
-                )
-            p_hi = probe(hi, "bracket-high", bracket_replicas)
-            if p_hi >= eps:
-                break
-            hi *= 2.0
+        p_hi = probe(hi, "bracket-high", bracket_replicas)
+        if p_hi >= eps:
+            break
+        hi *= 2.0
 
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            p_mid = probe(mid, "bisect", probe_replicas)
-            if p_mid >= eps:
-                hi = mid
-            else:
-                lo = mid
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        p_mid = probe(mid, "bisect", probe_replicas)
+        if p_mid >= eps:
+            hi = mid
+        else:
+            lo = mid
 
     lambda_hat = 0.5 * (lo + hi)
     return CriticalEstimate(
@@ -467,7 +469,6 @@ def _bisection_inputs(
     bracket_replicas: int,
     lambda_max: Optional[float],
     proxy: Optional[ProxySettings],
-    workers: int,
 ) -> tuple[float, float, float, ProxySettings]:
     """Check ``bisect_critical``'s inputs.
 
@@ -490,8 +491,6 @@ def _bisection_inputs(
         raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
     if proxy is None:
         proxy = ProxySettings.default_for(d)
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     kind_states(kind)
     return lb, tol, lambda_max, proxy
 
@@ -507,7 +506,6 @@ def trend_study(
     bracket_replicas: int = BRACKET_REPLICAS,
     proxy: Optional[dict[int, ProxySettings]] = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[CriticalEstimate]:
     """Scaled critical-rate sequence 2d*lambda_hat across dimensions.
 
@@ -517,28 +515,27 @@ def trend_study(
     maps each dimension to its setting; None uses
     ``ProxySettings.default_for(d)`` throughout.
 
-    Every dimension's inputs are checked before any worker starts.  The
-    trend then forks its one pool, in ``pool_scope(workers)``, and up to
-    ``workers`` threads call ``bisect_critical`` at the same time, taking
-    the dimensions in d order; each bisection's own scope joins the
-    trend's pool, so while one waits on a slow survivor another keeps
-    the workers busy.  The calling thread runs one of them and daemon
-    threads the rest; with one worker the dimensions run one after
-    another in the calling thread and no pool is forked.  Each bisection
-    is the one ``bisect_critical`` runs alone, so the estimates do not
-    depend on ``workers``; they come back in d order.  A failing
-    dimension does not stop the others: all of them run, and then the
-    error of the lowest failing d is raised, the one a
-    dimension-by-dimension loop would raise.  The pool is gone when this
-    returns or raises.
+    Every dimension's inputs are checked before any replica runs.  With
+    ``parallel.size()`` workers, the open ``pool_scope``'s count, the
+    trend then forks that scope's pool with ``parallel.start()`` and up to
+    that many threads call ``bisect_critical`` at the same time, taking
+    the dimensions in d order; all of them map onto the one pool, so
+    while one waits on a slow survivor another keeps the workers busy.
+    The calling thread runs one of them and daemon threads the rest;
+    outside a scope, or in one of one worker, the dimensions run one
+    after another in the calling thread and no pool is forked.  Each
+    bisection is the one ``bisect_critical`` runs alone, so the
+    estimates do not depend on the worker count; they come back in d
+    order.  A failing dimension does not stop the others: all of them
+    run, and then the error of the lowest failing d is raised, the one a
+    dimension-by-dimension loop would raise.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
     proxies = proxy if proxy is not None else dict.fromkeys(d_list)
     for d in d_list:
         _bisection_inputs(
-            kind, d, gamma, delta, eps, None, probe_replicas, bracket_replicas, None, proxies[d],
-            workers,
+            kind, d, gamma, delta, eps, None, probe_replicas, bracket_replicas, None, proxies[d]
         )
     todo = deque(enumerate(d_list))
     outcomes: list = [None] * len(todo)
@@ -553,7 +550,6 @@ def trend_study(
                 outcomes[i] = bisect_critical(
                     kind, d, gamma, delta, eps=eps, probe_replicas=probe_replicas,
                     bracket_replicas=bracket_replicas, proxy=proxies[d], seed=mix_seed(seed, d),
-                    workers=workers,
                 )
             except Exception as exc:  # raised below, once every dimension has run
                 outcomes[i] = exc
@@ -561,14 +557,14 @@ def trend_study(
     # the pool is forked here, before the threads start; they are daemons
     # because one blocked on a pool that an interrupt terminated never
     # returns, and must not keep the process alive
-    with pool_scope(workers):
-        helpers = min(workers, len(todo)) - 1
-        threads = [threading.Thread(target=work, daemon=True) for _ in range(helpers)]
-        for t in threads:
-            t.start()
-        work()
-        for t in threads:
-            t.join()
+    parallel.start()
+    helpers = min(parallel.size(), len(todo)) - 1
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(helpers)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

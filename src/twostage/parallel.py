@@ -4,19 +4,17 @@ Replica results are deterministic functions of (seed, replica index), so
 chunked parallel execution returns the same numbers as a serial run; the
 chunks are merged in submission order to keep reductions reproducible.
 
-``pool_scope(workers)`` is the one place a pool is made, and each
-mapping command forks at most one.  The outermost scope with workers > 1
-forks its pool at once, from the calling thread, and every multi-chunk
-map inside it shares that pool; a nested scope, or a one-worker scope,
-forks nothing.  A map called outside any such scope opens one of its own,
-so its pool lives for that one map; a caller that maps many batches (a
-bisection, a sweep) opens one scope around all of them.  Threads started
-inside a scope share its pool: their maps run concurrently on it, each
-getting its own chunks back in order.  Forking before those threads
-start keeps the fork in one thread and the pool creation free of races.
-Leaving the outermost scope, normally or by an exception, terminates and
-joins the pool, so no worker outlives it.  The workers ignore SIGINT: a
-Ctrl-C reaches the whole process group, and only the parent handles it.
+``pool_scope(workers)`` sets the worker count ``size()``, which is 1
+outside any scope: there every map runs serially and nothing forks.  The
+command line opens one scope around each command.  A scope forks its
+pool, the only one made, at its first map of more than one chunk or at
+``start()``.  Threads inside a scope share that pool, each map getting
+its own chunks back in order; a caller that starts such threads calls
+``start()`` first, so the fork happens while the process has one thread.
+Leaving the scope, normally or by an exception, terminates and joins the
+pool, so no worker outlives it.  A scope inside one of more than one
+worker changes nothing.  The workers ignore SIGINT: a Ctrl-C reaches the
+whole process group, and only the parent handles it.
 """
 from __future__ import annotations
 
@@ -25,39 +23,46 @@ import signal
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
-_pool = None  # the outermost scope's pool
+_size = 1  # the open scope's worker count
+_pool = None  # its pool, once forked
 
 
 @contextmanager
 def pool_scope(workers: int) -> Iterator[None]:
-    """Share one pool of ``workers`` processes among the maps inside the block.
-
-    Inside an enclosing pool's scope, or with one worker, this forks
-    nothing and the maps use the enclosing pool, if any.
-    """
-    global _pool
-    if _pool is not None or workers <= 1:
+    """Let the maps inside the block share a pool of ``workers`` processes, forked on first need."""
+    global _size, _pool
+    if _size > 1 or workers <= 1:
         yield
         return
-    # the replicas draw from numpy.random: loaded before the fork, the
-    # workers share it instead of each importing its own
-    import numpy.random  # noqa: F401
-    # workers ignore Ctrl-C: the scope's exit terminates them
-    _pool = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    _size = workers
     try:
         yield
     finally:
-        pool, _pool = _pool, None
-        pool.terminate()
-        pool.join()
+        pool, _pool, _size = _pool, None, 1
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
-def chunked_map(fn: Callable, chunks: Sequence, workers: int = 1) -> list:
-    """Apply fn to each chunk, optionally across a process pool.
+def size() -> int:
+    """The worker count of the open scope; 1 outside any."""
+    return _size
 
-    fn must be a picklable top-level function when workers > 1.
-    """
-    if workers <= 1 or len(chunks) <= 1:
+
+def start() -> None:
+    """Fork the open scope's pool now, unless it has one worker or its pool already."""
+    global _pool
+    if _size > 1 and _pool is None:
+        # the replicas draw from numpy.random: loaded before the fork, the
+        # workers share it instead of each importing its own
+        import numpy.random  # noqa: F401
+        # workers ignore Ctrl-C: the scope's exit terminates them
+        _pool = multiprocessing.Pool(_size, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+
+
+def chunked_map(fn: Callable, chunks: Sequence) -> list:
+    """Apply fn to each chunk; several chunks run on the scope's pool, if any (fn then picklable)."""
+    if _size <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with pool_scope(workers):
-        return _pool.map(fn, chunks)
+    start()
+    return _pool.map(fn, chunks)

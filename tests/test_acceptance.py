@@ -40,6 +40,7 @@ from twostage.meanfield import (
     solve_moments,
 )
 from twostage.oracle import brute_union_spaces, build_exact, transient
+from twostage.parallel import pool_scope
 from twostage.params import ProcessParams
 from twostage.rng import substream
 from twostage.saw import (
@@ -344,16 +345,17 @@ def test_c09_contact_dominates_sir():
     replicas = 10000
     ok = True
     details = []
-    for lam in (0.4, 0.6, 0.8):
-        p = ProcessParams(lam=lam, gamma=1.0, delta=1.0)
-        c = estimate_survival("contact", 4, p, proxy, replicas, seed=9001, workers=WORKERS)
-        s = estimate_survival("sir", 4, p, proxy, replicas, seed=9002, workers=WORKERS)
-        sigma = math.sqrt(
-            c.p_hat * (1 - c.p_hat) / replicas + s.p_hat * (1 - s.p_hat) / replicas
-        )
-        if c.p_hat < s.p_hat - 3 * sigma:
-            ok = False
-        details.append(f"lam={lam}: {c.p_hat:.4f}>={s.p_hat:.4f}-3sig")
+    with pool_scope(WORKERS):
+        for lam in (0.4, 0.6, 0.8):
+            p = ProcessParams(lam=lam, gamma=1.0, delta=1.0)
+            c = estimate_survival("contact", 4, p, proxy, replicas, seed=9001)
+            s = estimate_survival("sir", 4, p, proxy, replicas, seed=9002)
+            sigma = math.sqrt(
+                c.p_hat * (1 - c.p_hat) / replicas + s.p_hat * (1 - s.p_hat) / replicas
+            )
+            if c.p_hat < s.p_hat - 3 * sigma:
+                ok = False
+            details.append(f"lam={lam}: {c.p_hat:.4f}>={s.p_hat:.4f}-3sig")
     report(9, "contact-dominates-sir", ok, "; ".join(details))
 
 
@@ -364,13 +366,14 @@ def test_c10_no_survival_below_lower_bound():
     proxy = ProxySettings(horizon=150.0, active_cap=1000, box_radius=25)
     ok = True
     details = []
-    for d in (4, 6):
-        lam = 0.9 * lower_bound_lambda(d, 1.0, 1.0)
-        p = ProcessParams(lam=lam, gamma=1.0, delta=1.0)
-        est = estimate_survival("contact", d, p, proxy, 10000, seed=10001, workers=WORKERS)
-        if est.survivals != 0 or est.ci_high >= 5e-4:
-            ok = False
-        details.append(f"d={d}: {est.survivals}/10000, wilson_hi {est.ci_high:.1e}")
+    with pool_scope(WORKERS):
+        for d in (4, 6):
+            lam = 0.9 * lower_bound_lambda(d, 1.0, 1.0)
+            p = ProcessParams(lam=lam, gamma=1.0, delta=1.0)
+            est = estimate_survival("contact", d, p, proxy, 10000, seed=10001)
+            if est.survivals != 0 or est.ci_high >= 5e-4:
+                ok = False
+            details.append(f"d={d}: {est.survivals}/10000, wilson_hi {est.ci_high:.1e}")
     report(10, "subcritical-below-lower-bound", ok, "; ".join(details))
 
 
@@ -379,17 +382,17 @@ def test_c10_no_survival_below_lower_bound():
 # ----------------------------------------------------------------------
 def test_c11_scaled_threshold_trend():
     proxy = ProxySettings(horizon=60.0, active_cap=800, box_radius=20)
-    rows = trend_study(
-        "contact",
-        [4, 6, 8],
-        1.0,
-        1.0,
-        probe_replicas=2000,
-        bracket_replicas=10000,
-        proxy={d: proxy for d in (4, 6, 8)},
-        seed=424242,
-        workers=WORKERS,
-    )
+    with pool_scope(WORKERS):
+        rows = trend_study(
+            "contact",
+            [4, 6, 8],
+            1.0,
+            1.0,
+            probe_replicas=2000,
+            bracket_replicas=10000,
+            proxy={d: proxy for d in (4, 6, 8)},
+            seed=424242,
+        )
     ok = True
     details = []
     for r in rows:

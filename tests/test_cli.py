@@ -144,19 +144,11 @@ def test_sweep_columns_and_determinism(tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_forks_one_pool_for_all_its_rates(tmp_path, monkeypatch):
+def test_sweep_forks_one_pool_for_all_its_rates(tmp_path, pools):
     import multiprocessing
 
-    from twostage import cli, parallel
+    from twostage import cli
 
-    pools = []
-    real_pool = parallel.multiprocessing.Pool
-
-    def counted_pool(*args, **kwargs):
-        pools.append(real_pool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
     args = [
         "sweep", "--d", "2", "--lambdas", "0.5,1,1.5", "--replicas", "60",
         "--horizon", "5", "--radius", "5", "--seed", "3",
@@ -167,6 +159,43 @@ def test_sweep_forks_one_pool_for_all_its_rates(tmp_path, monkeypatch):
         assert cli.main([*args, "--threads", threads, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert len(pools) == 1
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+# command -> (arguments, pools forked at --threads 2): every command runs
+# in main's one scope, whose pool forks when first needed; the sweep's
+# pool is counted above
+POOL_COMMANDS = {
+    "simulate": (SIM_ARGS, 1),
+    "bisect": (["bisect", "--d", "2", "--tol", "0.2", "--bracket-replicas", "60",
+                "--probe-replicas", "40", "--cap", "150", "--horizon", "25", "--radius", "10",
+                "--seed", "5"], 1),
+    "bisect-one-replica": (["bisect", "--d", "2", "--bracket-replicas", "1", "--probe-replicas", "1",
+                            "--cap", "150", "--horizon", "25", "--radius", "10"], 0),
+    "trend": (["trend", "--d-list", "2,3", "--probe-replicas", "40", "--bracket-replicas", "60",
+               "--cap", "150", "--horizon", "25", "--radius", "10", "--seed", "8"], 1),
+    "ode": (["ode", "--d", "3", "--lambda", "0.1"], 0),
+    "sawbound": (["sawbound", "--d", "12", "--theta", "1.5", "--n-max", "40", "--replicas", "10"], 0),
+    "oracle-check": (["oracle-check", "--replicas", "500", "--seed", "11"], 0),
+}
+
+
+@pytest.mark.parametrize("command", list(POOL_COMMANDS))
+def test_each_command_forks_its_pools_from_one_thread(tmp_path, pools, command):
+    # the pools fixture fails a fork made while other threads run, as a
+    # trend's would be if it forked after starting its bisection threads
+    import multiprocessing
+
+    from twostage import cli
+
+    args, forked = POOL_COMMANDS[command]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.out"
+        assert cli.main([*args, "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        assert len(pools) == (forked if threads == "2" else 0)
     assert outputs[0] == outputs[1]
     assert multiprocessing.active_children() == []
 
@@ -498,6 +527,40 @@ def test_bisect_needs_a_replica_per_probe(tmp_path, option, replicas):
     assert proc.returncode == 2, proc.stderr
     assert f"replicas must be >= 1, got {replicas}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+INVALID_PROXY_BASES = {
+    "simulate": QUICK_SIM,
+    "sweep": ["sweep", "--d", "2", "--lambdas", "1", "--replicas", "20"],
+    "bisect": QUICK_BISECT,
+    "trend": ["trend", "--d-list", "2", "--probe-replicas", "20", "--bracket-replicas", "20"],
+}
+
+
+@pytest.mark.parametrize("command", list(INVALID_PROXY_BASES))
+@pytest.mark.parametrize(
+    "flag, value", [("--cap", "0"), ("--radius", "-1"), ("--horizon", "0"), ("--horizon", "nan")]
+)
+def test_invalid_proxy_exits_2_before_any_pool_forks(tmp_path, pools, capsys, command, flag, value):
+    from twostage import cli
+
+    out = tmp_path / "bad.csv"
+    argv = [*INVALID_PROXY_BASES[command], flag, value, "--threads", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert flag[2:] in capsys.readouterr().err
+    assert pools == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_validation_error(tmp_path, pools, capsys, threads):
+    from twostage import cli
+
+    out = tmp_path / "threads.csv"
+    assert cli.main([*SIM_ARGS, "--threads", threads, "--out", str(out)]) == 2
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert pools == []
     assert not out.exists()
 
 

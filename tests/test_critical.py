@@ -1,12 +1,13 @@
 import math
 import multiprocessing
+import multiprocessing.pool
 import random
 import threading
 from itertools import groupby
 
 import pytest
 
-from twostage import critical, parallel
+from twostage import critical
 from twostage.critical import (
     PROBE_ERROR,
     ProxySettings,
@@ -23,6 +24,7 @@ from twostage.critical import (
 from twostage.errors import BracketError, ParameterError
 from twostage.lattice import Box
 from twostage.meanfield import lower_bound_lambda
+from twostage.parallel import pool_scope
 from twostage.params import ProcessParams
 from twostage.rng import mix_seed
 
@@ -63,9 +65,10 @@ def test_survival_monotone_in_lambda():
 
 def test_survival_worker_count_does_not_change_counts():
     p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
-    serial = estimate_survival("contact", 2, p, FAST_PROXY, 400, seed=3, workers=1)
-    parallel = estimate_survival("contact", 2, p, FAST_PROXY, 400, seed=3, workers=2)
-    assert serial.survivals == parallel.survivals
+    serial = estimate_survival("contact", 2, p, FAST_PROXY, 400, seed=3)
+    with pool_scope(2):
+        pooled = estimate_survival("contact", 2, p, FAST_PROXY, 400, seed=3)
+    assert serial.survivals == pooled.survivals
 
 
 def test_bisect_reproducible_and_above_lower_bound():
@@ -179,9 +182,8 @@ def test_trend_does_not_depend_on_workers_and_equals_lone_bisections():
         for d in (2, 3, 4)
     ]
     for workers in (1, 2, 3):
-        rows = trend_study(
-            "contact", [2, 3, 4], 1.0, 1.0, proxy=proxies, workers=workers, **TREND_KWARGS
-        )
+        with pool_scope(workers):
+            rows = trend_study("contact", [2, 3, 4], 1.0, 1.0, proxy=proxies, **TREND_KWARGS)
         # probes included: every round of every dimension is the lone run's
         assert rows == alone, workers
 
@@ -214,8 +216,8 @@ def test_trend_raises_the_lowest_failing_dimension(proxies, failing, time_limit)
     assert list(errors) == failing
     assert errors[2].startswith("no rate with survival above eps")
     threads = threading.active_count()
-    with time_limit(60), pytest.raises(BracketError) as raised:
-        trend_study("contact", [2, 3], 1.0, 1.0, proxy=proxies, workers=2, **TREND_KWARGS)
+    with time_limit(60), pytest.raises(BracketError) as raised, pool_scope(2):
+        trend_study("contact", [2, 3], 1.0, 1.0, proxy=proxies, **TREND_KWARGS)
     assert str(raised.value) == errors[2]
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
@@ -225,11 +227,9 @@ def test_trend_raises_the_lowest_failing_dimension(proxies, failing, time_limit)
 def test_run_replicas_start_reads_the_same_streams(workers):
     p = ProcessParams(lam=1.2, gamma=1.0, delta=1.0)
     args = ("contact", 2, p, Box(10), 25.0, 150)
-    full = run_replicas(*args, 100, 21, workers=1)
-    parts = [
-        run_replicas(*args, hi - lo, 21, workers=workers, start=lo)
-        for lo, hi in ((0, 37), (37, 64), (64, 100))
-    ]
+    full = run_replicas(*args, 100, 21)
+    with pool_scope(workers):
+        parts = [run_replicas(*args, hi - lo, 21, start=lo) for lo, hi in ((0, 37), (37, 64), (64, 100))]
     assert [row for part in parts for row in part] == full
 
 
@@ -336,8 +336,9 @@ def test_full_probe_does_not_depend_on_workers():
     # a subcritical probe settles only at its last replica, so the last
     # round is cut to the replicas that remain
     p = ProcessParams(lam=0.2, gamma=1.0, delta=1.0)
-    serial = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, workers=1, eps=0.02)
-    pooled = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, workers=2, eps=0.02)
+    serial = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, eps=0.02)
+    with pool_scope(2):
+        pooled = estimate_survival("contact", 2, p, FAST_PROXY, 40, seed=5, eps=0.02)
     assert serial.trials == 40
     assert pooled == serial
 
@@ -351,8 +352,9 @@ def test_probe_needs_a_replica(replicas):
 
 def test_staged_probe_records_do_not_depend_on_workers():
     kwargs = dict(tol=0.1, probe_replicas=300, bracket_replicas=600, proxy=FAST_PROXY, seed=4)
-    serial = bisect_critical("contact", 2, 1.0, 1.0, workers=1, **kwargs)
-    pooled = bisect_critical("contact", 2, 1.0, 1.0, workers=2, **kwargs)
+    serial = bisect_critical("contact", 2, 1.0, 1.0, **kwargs)
+    with pool_scope(2):
+        pooled = bisect_critical("contact", 2, 1.0, 1.0, **kwargs)
     assert pooled.probes == serial.probes
     assert pooled.lambda_hat == serial.lambda_hat
     for pr in serial.probes:
@@ -361,52 +363,62 @@ def test_staged_probe_records_do_not_depend_on_workers():
         assert (pr.stop == "early") == (pr.trials < requested)
 
 
-def test_bisect_leaves_no_worker_running(monkeypatch):
-    bisect_critical(
-        "contact", 2, 1.0, 1.0,
-        tol=0.2, probe_replicas=100, bracket_replicas=200, proxy=FAST_PROXY, seed=4, workers=2,
-    )
-    assert multiprocessing.active_children() == []
-    # a trend forks one pool for all its dimensions
-    pools = []
-    real_pool = parallel.multiprocessing.Pool
-
-    def counted_pool(*args, **kwargs):
-        pools.append(real_pool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
-    trend_study(
-        "contact", [2, 3], 1.0, 1.0,
-        probe_replicas=100, bracket_replicas=200, proxy={2: FAST_PROXY, 3: FAST_PROXY}, seed=8,
-        workers=2,
-    )
+def test_bisect_leaves_no_worker_running(pools):
+    with pool_scope(2):
+        bisect_critical(
+            "contact", 2, 1.0, 1.0,
+            tol=0.2, probe_replicas=100, bracket_replicas=200, proxy=FAST_PROXY, seed=4,
+        )
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
-    with pytest.raises(BracketError):
+    # a trend forks one pool for all its dimensions
+    with pool_scope(2):
+        trend_study(
+            "contact", [2, 3], 1.0, 1.0,
+            probe_replicas=100, bracket_replicas=200, proxy={2: FAST_PROXY, 3: FAST_PROXY}, seed=8,
+        )
+    assert len(pools) == 2
+    assert multiprocessing.active_children() == []
+    with pytest.raises(BracketError), pool_scope(2):
         bisect_critical(
             "contact", 2, 1.0, 1.0,
             lambda_max=0.8, probe_replicas=50, bracket_replicas=50, proxy=FAST_PROXY, seed=7,
-            workers=2,
         )
     assert multiprocessing.active_children() == []
 
 
-def test_bisection_of_one_replica_probes_forks_no_pool(monkeypatch):
+def test_bisection_of_one_replica_probes_forks_no_pool(pools):
     # every round holds one replica, so a pool would never be used
-    pools = []
-    real_pool = parallel.multiprocessing.Pool
-
-    def counted_pool(*args, **kwargs):
-        pools.append(real_pool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(parallel.multiprocessing, "Pool", counted_pool)
     kwargs = dict(probe_replicas=1, bracket_replicas=1, proxy=FAST_PROXY, seed=0)
-    pooled = bisect_critical("contact", 2, 1.0, 1.0, workers=2, **kwargs)
+    with pool_scope(2):
+        pooled = bisect_critical("contact", 2, 1.0, 1.0, **kwargs)
     assert len(pooled.probes) > 3
     assert pools == []
     assert pooled.probes == bisect_critical("contact", 2, 1.0, 1.0, **kwargs).probes
+
+
+def test_estimators_fork_only_in_a_scope_and_share_its_pool(pools, monkeypatch):
+    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
+    # outside a scope a probe of several rounds runs serially and forks nothing
+    probe = estimate_survival("contact", 2, p, FAST_PROXY, 2000, seed=1, eps=0.05)
+    assert probe.trials > 64 and pools == []
+    maps = []
+    real_map = multiprocessing.pool.Pool.map
+
+    def counted_map(pool, *args, **kwargs):
+        maps.append(pool)
+        return real_map(pool, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counted_map)
+    with pool_scope(2):
+        # the scope's one pool serves every estimate inside it
+        pooled = [
+            estimate_survival("contact", 2, p, FAST_PROXY, 2000, seed=1, eps=0.05) for _ in range(3)
+        ]
+    assert len(pools) == 1
+    assert len(maps) >= 3 and set(maps) == {pools[0]}
+    assert pooled == [probe] * 3
+    assert multiprocessing.active_children() == []
 
 
 def step_curve_replicas(lam_star):
@@ -416,7 +428,7 @@ def step_curve_replicas(lam_star):
     replica reads stream (seed, i); no process is simulated.
     """
 
-    def fake(kind, d, p, domain, horizon, cap, replicas, seed, workers=1, *, start=0):
+    def fake(kind, d, p, domain, horizon, cap, replicas, seed, *, start=0):
         survival = 1.0 if p.lam >= lam_star else 0.0
         return [
             (random.Random(mix_seed(seed, i)).random() < survival, 0.0, 1, 0)
@@ -452,45 +464,17 @@ def test_bisection_driver_finds_no_bracket_past_either_end(monkeypatch, factor, 
         bisect_critical("contact", 4, 1.0, 1.0, seed=1)
 
 
-NO_WORKER_CALLS = {
-    "run_replicas": lambda p, w: run_replicas("contact", 2, p, Box(10), 25.0, 150, 20, 1, w),
-    "batch": lambda p, w: estimate_survival("contact", 2, p, FAST_PROXY, 20, seed=1, workers=w),
-    # without the check a probe of this size with workers=-1 never advanced
-    "probe": lambda p, w: estimate_survival(
-        "contact", 2, p, FAST_PROXY, 2000, seed=1, workers=w, eps=0.05
-    ),
-    "bisect": lambda p, w: bisect_critical(
-        "contact", 2, 1.0, 1.0, probe_replicas=2000, bracket_replicas=2000, proxy=FAST_PROXY,
-        workers=w,
-    ),
-    "trend": lambda p, w: trend_study(
-        "contact", [2, 3], 1.0, 1.0, probe_replicas=2000, bracket_replicas=2000,
-        proxy={2: FAST_PROXY, 3: FAST_PROXY}, workers=w,
-    ),
-}
-
-
-@pytest.mark.parametrize("call", list(NO_WORKER_CALLS))
-@pytest.mark.parametrize("workers", [0, -1])
-def test_estimators_need_a_worker(call, workers, time_limit):
+def test_unknown_kind_fails_before_any_worker_starts(pools):
     p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
-    with time_limit(10), pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
-        NO_WORKER_CALLS[call](p, workers)
-
-
-def test_unknown_kind_fails_before_any_worker_starts(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was forked for an unknown kind")
-
-    monkeypatch.setattr(parallel.multiprocessing, "Pool", no_pool)
-    p = ProcessParams(lam=1.0, gamma=1.0, delta=1.0)
-    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
-        run_replicas("sis", 2, p, Box(10), 25.0, 150, 100, 1, workers=2)
-    # a trend checks every dimension before it forks the pool its threads share
-    with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
-        trend_study("sis", [2, 3], 1.0, 1.0, proxy={2: FAST_PROXY, 3: FAST_PROXY}, workers=2)
-    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
-        trend_study("contact", [0, 3], 1.0, 1.0, proxy={0: FAST_PROXY, 3: FAST_PROXY}, workers=2)
+    with pool_scope(2):
+        with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
+            run_replicas("sis", 2, p, Box(10), 25.0, 150, 100, 1)
+        # a trend checks every dimension before it forks the pool its threads share
+        with pytest.raises(ParameterError, match="kind must be 'contact' or 'sir', got 'sis'"):
+            trend_study("sis", [2, 3], 1.0, 1.0, proxy={2: FAST_PROXY, 3: FAST_PROXY})
+        with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+            trend_study("contact", [0, 3], 1.0, 1.0, proxy={0: FAST_PROXY, 3: FAST_PROXY})
+    assert pools == []
     assert multiprocessing.active_children() == []
 
 

@@ -455,7 +455,12 @@ def _window_state(rng, pairs):
         drawn += w
 
 
-@pytest.mark.parametrize("kind,setup,seed,replica,events,extinction,final", GOLDEN_SPREAD)
+@pytest.mark.parametrize(
+    "kind,setup,seed,replica,events,extinction,final",
+    GOLDEN_SPREAD,
+    # named by the run, not its pinned values, so a restated golden keeps its id
+    ids=[f"{kind}-{setup}-{seed}-{replica}" for kind, setup, seed, replica, *_ in GOLDEN_SPREAD],
+)
 def test_spread_draws_are_fixed_by_the_stream(kind, setup, seed, replica, events, extinction, final):
     out = _spread(kind, setup, substream(seed, replica))
     assert out.event_count == events

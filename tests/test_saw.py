@@ -446,9 +446,17 @@ def test_union_direct_matches_exhaustive_path_enumeration():
     assert est.p_hat >= step**n - 3 * est.se
 
 
+GOLDEN_UNION = [
+    # d, n, replicas, seed, successes
+    (4, 4, 25000, 41, 8617), (6, 3, 3000, 42, 1962), (5, 5, 3000, 43, 1804), (3, 6, 3000, 44, 682),
+]
+
+
 @pytest.mark.parametrize(
     "d, n, replicas, seed, successes",
-    [(4, 4, 25000, 41, 8617), (6, 3, 3000, 42, 1962), (5, 5, 3000, 43, 1804), (3, 6, 3000, 44, 682)],
+    GOLDEN_UNION,
+    # named by the run, not its pinned count, so a restated golden keeps its id
+    ids=[f"{d}-{n}-{replicas}-{seed}" for d, n, replicas, seed, _ in GOLDEN_UNION],
 )
 def test_union_direct_successes_golden(d, n, replicas, seed, successes):
     # recorded when each block's clocks read their exponentials in windows
