@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: simulate, sweep, bisect, trend, ode, sawbound, oracle-check.
-Each only resolves its options, calls the library and writes the result;
-the oracle-check suite is ``oracle.check_suite``.
+Each handler only resolves its options, calls the library and returns a
+``Report``; ``main`` alone writes it, once the computation has finished,
+so a run that fails writes nothing.  The oracle-check suite is
+``oracle.check_suite``.
 Tables are written as CSV, heterogeneous reports as JSON lines; both
 start with a metadata block (tool version, resolved configuration,
 master seed) so every file is self-describing.  Identical configuration
@@ -301,6 +303,15 @@ class OutputWriter:
                 self._fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+class Report(NamedTuple):
+    """A command's table, its metadata beyond the resolved options, and its exit code."""
+
+    header: Sequence[str]
+    rows: list
+    meta: dict = {}
+    code: int = 0
+
+
 def _base_meta(command: str, resolver: Resolver) -> dict:
     meta = {"tool": "twostage", "version": __version__, "command": command}
     # the output and config paths and the worker count are not part of the
@@ -332,32 +343,33 @@ def _proxy(res: Resolver, d: int) -> critical.ProxySettings:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def cmd_simulate(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_simulate(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     p = _params(res)
     d = res.required("d")
-    base = critical.ProxySettings.default_for(d)
     geometry = res.get("geometry", "box")
     for name, shape in (("radius", "box"), ("side", "torus")):
         if shape != geometry and res.given(name):
             raise ParameterError(f"{OPTIONS[name].flag} applies only to --geometry {shape}")
     if geometry == "torus":
         domain = Torus(res.get("side", 5))
+        # a torus has no box radius to resolve, so its file records none
+        base = critical.ProxySettings.default_for(d)
+        proxy = critical.ProxySettings(
+            res.get("horizon", base.horizon), res.get("cap", base.active_cap)
+        )
     else:
-        domain = Box(res.get("radius", base.box_radius))
-    horizon = res.get("horizon", base.horizon)
-    cap = res.get("cap", base.active_cap)
+        proxy = _proxy(res, d)
+        domain = Box(proxy.box_radius)
     replicas = res.get("replicas", 1000)
-    rows = critical.run_replicas(kind, d, p, domain, horizon, cap, replicas, seed)
-    writer.meta(_base_meta("simulate", res))
-    writer.table(
+    rows = critical.run_replicas(kind, d, p, domain, proxy.horizon, proxy.active_cap, replicas, seed)
+    return Report(
         ("replica", "survived", "extinction_time", "peak_active", "event_count"),
         [(i, *row) for i, row in enumerate(rows)],
     )
-    return 0
 
 
-def cmd_sweep(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_sweep(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d = res.required("d")
     lams = res.required("lambdas")
@@ -370,12 +382,10 @@ def cmd_sweep(res: Resolver, writer: OutputWriter, seed: int) -> int:
         p = ProcessParams(lam=lam, gamma=gamma, delta=delta)
         est = critical.estimate_survival(kind, d, p, proxy, replicas, seed)
         rows.append((d, lam, est.trials, est.survivals, est.p_hat, est.ci_low, est.ci_high))
-    writer.meta(_base_meta("sweep", res))
-    writer.table(("d", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high"), rows)
-    return 0
+    return Report(("d", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high"), rows)
 
 
-def cmd_bisect(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_bisect(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d = res.required("d")
     gamma = res.get("gamma", 1.0)
@@ -393,7 +403,6 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, seed: int) -> int:
         proxy=_proxy(res, d),
         seed=seed,
     )
-    writer.meta(_base_meta("bisect", res))
     header = (
         "record",
         "phase",
@@ -414,11 +423,10 @@ def cmd_bisect(res: Resolver, writer: OutputWriter, seed: int) -> int:
     rows.append(
         ("result", None, None, None, None, None, None, None, est.lambda_hat, est.scaled, est.resolution)
     )
-    writer.table(header, rows)
-    return 0
+    return Report(header, rows)
 
 
-def cmd_trend(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_trend(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d_list = res.required("d_list")
     gamma = res.get("gamma", 1.0)
@@ -437,43 +445,34 @@ def cmd_trend(res: Resolver, writer: OutputWriter, seed: int) -> int:
     )
     # proxy defaults depend on d: record each dimension's effective settings
     # in place of the horizon/cap/radius resolved for the last one
-    meta = _base_meta("trend", res)
     for key in ("horizon", "cap", "radius"):
-        del meta[key]
-    meta.update({f"proxy_d{d}": proxy.describe() for d, proxy in proxies.items()})
-    writer.meta(meta)
-    writer.table(
+        del res.resolved[key]
+    return Report(
         ("d", "lambda_hat", "scaled", "target"),
         [(r.d, r.lambda_hat, r.scaled, r.target) for r in rows],
+        {f"proxy_d{d}": proxy.describe() for d, proxy in proxies.items()},
     )
-    return 0
 
 
-def cmd_ode(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_ode(res: Resolver, seed: int) -> Report:
     d = res.required("d")
     p = _params(res)
     times = res.get("times", [0.0, 0.5, 1.0, 2.0, 5.0])
     if not times:
         raise ParameterError("--times must list at least one time")
     c1, c2 = eigenvalues(moment_matrix(d, p))
-    meta = _base_meta("ode", res)
-    meta.update(
-        {
-            "eigenvalue_1": c1,
-            "eigenvalue_2": c2,
-            "max_real_eigenvalue": c1,
-            "subcritical": is_subcritical(d, p),
-            "lower_bound_lambda": lower_bound_lambda(d, p.gamma, p.delta),
-        }
-    )
-    # every time is validated before the first line is written
+    meta = {
+        "eigenvalue_1": c1,
+        "eigenvalue_2": c2,
+        "max_real_eigenvalue": c1,
+        "subcritical": is_subcritical(d, p),
+        "lower_bound_lambda": lower_bound_lambda(d, p.gamma, p.delta),
+    }
     rows = [(t, *solve_moments(d, p, t)) for t in times]
-    writer.meta(meta)
-    writer.table(("t", "zeta_mean", "theta_mean"), rows)
-    return 0
+    return Report(("t", "zeta_mean", "theta_mean"), rows, meta)
 
 
-def cmd_sawbound(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_sawbound(res: Resolver, seed: int) -> Report:
     d = res.required("d")
     gamma = res.get("gamma", 1.0)
     delta = res.get("delta", 1.0)
@@ -493,9 +492,6 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, seed: int) -> int:
         replicas=res.get("replicas", 4000),
         seed=seed,
     )
-    meta = _base_meta("sawbound", res)
-    meta.update({"resolved_lambda": lam})
-    writer.meta(meta)
     header = (
         "record",
         "n",
@@ -519,11 +515,10 @@ def cmd_sawbound(res: Resolver, writer: OutputWriter, seed: int) -> int:
             est.heavy_tail,
         )
     )
-    writer.table(header, rows)
-    return 0
+    return Report(header, rows, {"resolved_lambda": lam})
 
 
-def cmd_oracle_check(res: Resolver, writer: OutputWriter, seed: int) -> int:
+def cmd_oracle_check(res: Resolver, seed: int) -> Report:
     suite = res.get("suite", "all")
     if suite != "all":
         raise ParameterError(f"unknown suite {suite!r} (only 'all' is defined)")
@@ -534,12 +529,11 @@ def cmd_oracle_check(res: Resolver, writer: OutputWriter, seed: int) -> int:
         lam=res.get("lam", 0.8), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
     )
     checks = oracle.check_suite(p, replicas, seed)
-    writer.meta(_base_meta("oracle-check", res))
-    writer.table(
+    return Report(
         ("check", "status", "detail"),
         [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in checks],
+        code=0 if all(ok for _, ok, _ in checks) else 1,
     )
-    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # tables default to CSV; the mixed-record sawbound report to JSON lines
         fmt = res.get("fmt", "jsonl" if args.command == "sawbound" else "csv")
         with OutputWriter(out_path, fmt) as writer, pool_scope(workers):
-            code = args.func(res, writer, seed)
+            report = args.func(res, seed)
+            writer.meta({**_base_meta(args.command, res), **report.meta})
+            writer.table(report.header, report.rows)
     except (ParameterError, DomainError) as exc:
         print(f"twostage: invalid input: {exc}", file=sys.stderr)
         return 2
@@ -643,4 +639,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("twostage: interrupted", file=sys.stderr)
         return 130
     print(f"twostage: elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return code
+    return report.code

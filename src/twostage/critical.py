@@ -526,9 +526,10 @@ def trend_study(
     after another in the calling thread and no pool is forked.  Each
     bisection is the one ``bisect_critical`` runs alone, so the
     estimates do not depend on the worker count; they come back in d
-    order.  A failing dimension does not stop the others: all of them
-    run, and then the error of the lowest failing d is raised, the one a
-    dimension-by-dimension loop would raise.
+    order.  Once a dimension fails no further one is started; those
+    already running finish, and then the error of the lowest failing d is
+    raised.  Every lower d had started before the failure, so this is the
+    error a dimension-by-dimension loop would raise.
     """
     if list(d_list) != sorted(set(d_list)):
         raise ParameterError("d_list must be strictly ascending")
@@ -551,8 +552,9 @@ def trend_study(
                     kind, d, gamma, delta, eps=eps, probe_replicas=probe_replicas,
                     bracket_replicas=bracket_replicas, proxy=proxies[d], seed=mix_seed(seed, d),
                 )
-            except Exception as exc:  # raised below, once every dimension has run
+            except Exception as exc:  # raised below, once the running dimensions end
                 outcomes[i] = exc
+                todo.clear()
 
     # the pool is forked here, before the threads start; they are daemons
     # because one blocked on a pool that an interrupt terminated never

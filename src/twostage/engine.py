@@ -398,8 +398,6 @@ def _runs(
                 if u < n2:
                     # recovery of a fully-infected site
                     i = int(u)
-                    if i >= n2:
-                        i = n2 - 1
                     n2 -= 1
                     x = twos[i]
                     twos[i] = twos[n2]

@@ -307,6 +307,52 @@ def test_bisect_output_golden(tmp_path, threads):
     )
 
 
+# id -> (arguments, sha256 of the output): small runs of the commands and
+# formats the goldens above leave out; recorded when each draw window held
+# its uniforms, then its exponentials
+OUTPUT_GOLDENS = {
+    "simulate-csv": (
+        ["simulate", "--d", "3", "--lambda", "0.4", "--replicas", "30", "--horizon", "10",
+         "--radius", "6", "--seed", "21"],
+        "157d33ba5320b7d35613af52e9b71c40e91ee7a92d2fd223ad72e2c2b1a59985",
+    ),
+    "simulate-jsonl": (
+        ["simulate", "--kind", "sir", "--d", "2", "--lambda", "0.8", "--geometry", "torus",
+         "--side", "5", "--replicas", "20", "--horizon", "10", "--seed", "22", "--format", "jsonl"],
+        "206277a364f7fd7eae697a1d0111ae37c21872e43e30468cce70581caf2ad2e2",
+    ),
+    "sweep-csv": (
+        ["sweep", "--d", "2", "--lambdas", "0.5,1", "--replicas", "60", "--horizon", "5",
+         "--cap", "100", "--radius", "5", "--seed", "23"],
+        "3918fca071273dca0e9a19c114e3f543b22317f789debf0a2721cdd5d7713c2a",
+    ),
+    "ode-csv": (
+        ["ode", "--d", "4", "--lambda", "0.2", "--times", "0,1,3"],
+        "148e24887416c7e10a19d1559c829d36a5cd9ffdc71f19b06b0188b23debaec1",
+    ),
+    "ode-jsonl": (
+        ["ode", "--d", "6", "--lambda", "0.15", "--gamma", "2", "--delta", "0.5", "--format", "jsonl"],
+        "659e2c39dca9fe5679a10ac61e7e6e1e5728ca2a08e47e0ab0da45b4c1a6f3d8",
+    ),
+    "sawbound-jsonl": (
+        ["sawbound", "--d", "8", "--theta", "1.5", "--n-max", "60", "--replicas", "40", "--seed", "24"],
+        "01ed67cdf71d32fa62f676100920a7f7e2b0a78ec3cf3c9a8c79e0ff42a5c483",
+    ),
+    "sawbound-csv": (
+        ["sawbound", "--d", "6", "--lambda", "0.2", "--n-max", "40", "--replicas", "30",
+         "--seed", "25", "--format", "csv"],
+        "565a813661564bd9cbd31c49a87801c779f73a53c26a784f9a8f6c5e8fc1e3e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_GOLDENS))
+def test_command_output_golden(tmp_path, case):
+    args, digest = OUTPUT_GOLDENS[case]
+    out = run_cli(args, tmp_path, "golden.out")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_trend_records_effective_proxy_per_dimension(tmp_path):
     # a horizon override keeps each dimension's default cap (2000 at d >= 10)
     args = [
@@ -538,17 +584,24 @@ INVALID_PROXY_BASES = {
 }
 
 
+# (flag, value) -> the refusal every command prints, in the option's words
+PROXY_REFUSALS = {
+    ("--cap", "0"): "proxy cap must be >= 1, got 0",
+    ("--radius", "-1"): "proxy box radius must be >= 0, got -1",
+    ("--horizon", "0"): "proxy horizon must be positive and finite, got 0.0",
+    ("--horizon", "nan"): "proxy horizon must be positive and finite, got nan",
+}
+
+
 @pytest.mark.parametrize("command", list(INVALID_PROXY_BASES))
-@pytest.mark.parametrize(
-    "flag, value", [("--cap", "0"), ("--radius", "-1"), ("--horizon", "0"), ("--horizon", "nan")]
-)
+@pytest.mark.parametrize("flag, value", list(PROXY_REFUSALS))
 def test_invalid_proxy_exits_2_before_any_pool_forks(tmp_path, pools, capsys, command, flag, value):
     from twostage import cli
 
     out = tmp_path / "bad.csv"
     argv = [*INVALID_PROXY_BASES[command], flag, value, "--threads", "2", "--out", str(out)]
     assert cli.main(argv) == 2
-    assert flag[2:] in capsys.readouterr().err
+    assert PROXY_REFUSALS[flag, value] in capsys.readouterr().err
     assert pools == []
     assert not out.exists()
 

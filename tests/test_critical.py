@@ -223,6 +223,22 @@ def test_trend_raises_the_lowest_failing_dimension(proxies, failing, time_limit)
     assert threading.active_count() == threads
 
 
+def test_trend_takes_no_dimension_after_one_fails(monkeypatch):
+    # outside a scope the dimensions run one after another: once d=2 has
+    # failed, d=3 and d=4 are not started
+    started = []
+
+    def counted(kind, d, *args, **kwargs):
+        started.append(d)
+        return bisect_critical(kind, d, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "bisect_critical", counted)
+    proxies = {2: NO_BRACKET, 3: FAST_PROXY, 4: FAST_PROXY}
+    with pytest.raises(BracketError, match="no rate with survival above eps"):
+        trend_study("contact", [2, 3, 4], 1.0, 1.0, proxy=proxies, **TREND_KWARGS)
+    assert started == [2]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_replicas_start_reads_the_same_streams(workers):
     p = ProcessParams(lam=1.2, gamma=1.0, delta=1.0)
