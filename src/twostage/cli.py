@@ -4,7 +4,13 @@ Subcommands: simulate, sweep, bisect, trend, ode, sawbound, oracle-check.
 Each handler only resolves its options, calls the library and returns a
 ``Report``; ``main`` alone writes it, once the computation has finished,
 so a run that fails writes nothing.  The oracle-check suite is
-``oracle.check_suite``.
+``oracle.check_suite``.  Option groups that several commands share (the
+rates gamma and delta, the bisection's eps and replica counts, the
+survival proxy) are each resolved, with their defaults, by one helper.
+A table whose records leave some columns empty (bisect's probes and
+result, sawbound's convergence and result) is built from dicts keyed by
+column name and laid out by its header, so adding a column is one header
+entry plus one key.
 Tables are written as CSV, heterogeneous reports as JSON lines; both
 start with a metadata block (tool version, resolved configuration,
 master seed) so every file is self-describing.  Identical configuration
@@ -323,21 +329,42 @@ def _base_meta(command: str, resolver: Resolver) -> dict:
 
 
 # ----------------------------------------------------------------------
-# parameter assembly shared by subcommands
+# option groups and record tables shared by subcommands
 # ----------------------------------------------------------------------
+def _rates(res: Resolver) -> tuple[float, float]:
+    """(gamma, delta), each 1.0 by default."""
+    return res.get("gamma", 1.0), res.get("delta", 1.0)
+
+
 def _params(res: Resolver) -> ProcessParams:
-    return ProcessParams(
-        lam=res.required("lam"), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
-    )
+    return ProcessParams(res.required("lam"), *_rates(res))
 
 
-def _proxy(res: Resolver, d: int) -> critical.ProxySettings:
+def _bisection(res: Resolver) -> dict:
+    """The keyword arguments eps, probe_replicas and bracket_replicas of a bisection."""
+    return {
+        "eps": res.get("eps", critical.DEFAULT_EPS),
+        "probe_replicas": res.get("probe_replicas", critical.PROBE_REPLICAS),
+        "bracket_replicas": res.get("bracket_replicas", critical.BRACKET_REPLICAS),
+    }
+
+
+def _proxy(res: Resolver, d: int, torus: bool = False) -> critical.ProxySettings:
+    """default_for(d), overridden by --horizon, --cap and, on a box, --radius.
+
+    A torus has no box radius to resolve, so its file records none.
+    """
     base = critical.ProxySettings.default_for(d)
     return critical.ProxySettings(
         horizon=res.get("horizon", base.horizon),
         active_cap=res.get("cap", base.active_cap),
-        box_radius=res.get("radius", base.box_radius),
+        box_radius=base.box_radius if torus else res.get("radius", base.box_radius),
     )
+
+
+def _rows(header: Sequence[str], records: list[dict]) -> list[tuple]:
+    """One row per record, laid out by header; a column the record lacks is empty."""
+    return [tuple(record.get(column) for column in header) for record in records]
 
 
 # ----------------------------------------------------------------------
@@ -351,16 +378,8 @@ def cmd_simulate(res: Resolver, seed: int) -> Report:
     for name, shape in (("radius", "box"), ("side", "torus")):
         if shape != geometry and res.given(name):
             raise ParameterError(f"{OPTIONS[name].flag} applies only to --geometry {shape}")
-    if geometry == "torus":
-        domain = Torus(res.get("side", 5))
-        # a torus has no box radius to resolve, so its file records none
-        base = critical.ProxySettings.default_for(d)
-        proxy = critical.ProxySettings(
-            res.get("horizon", base.horizon), res.get("cap", base.active_cap)
-        )
-    else:
-        proxy = _proxy(res, d)
-        domain = Box(proxy.box_radius)
+    proxy = _proxy(res, d, torus=geometry == "torus")
+    domain = Torus(res.get("side", 5)) if geometry == "torus" else Box(proxy.box_radius)
     replicas = res.get("replicas", 1000)
     rows = critical.run_replicas(kind, d, p, domain, proxy.horizon, proxy.active_cap, replicas, seed)
     return Report(
@@ -373,8 +392,7 @@ def cmd_sweep(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d = res.required("d")
     lams = res.required("lambdas")
-    gamma = res.get("gamma", 1.0)
-    delta = res.get("delta", 1.0)
+    gamma, delta = _rates(res)
     replicas = res.get("replicas", 2000)
     proxy = _proxy(res, d)
     rows = []
@@ -388,60 +406,30 @@ def cmd_sweep(res: Resolver, seed: int) -> Report:
 def cmd_bisect(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d = res.required("d")
-    gamma = res.get("gamma", 1.0)
-    delta = res.get("delta", 1.0)
     est = critical.bisect_critical(
-        kind,
-        d,
-        gamma,
-        delta,
-        eps=res.get("eps", critical.DEFAULT_EPS),
-        tol=res.get("tol"),
-        probe_replicas=res.get("probe_replicas", critical.PROBE_REPLICAS),
-        bracket_replicas=res.get("bracket_replicas", critical.BRACKET_REPLICAS),
-        lambda_max=res.get("lambda_max"),
-        proxy=_proxy(res, d),
-        seed=seed,
+        kind, d, *_rates(res), **_bisection(res), tol=res.get("tol"),
+        lambda_max=res.get("lambda_max"), proxy=_proxy(res, d), seed=seed,
     )
-    header = (
-        "record",
-        "phase",
-        "lambda",
-        "trials",
-        "survivals",
-        "p_hat",
-        "ci_low",
-        "ci_high",
-        "lambda_hat",
-        "scaled",
-        "resolution",
-    )
-    rows = [
-        ("probe", pr.phase, pr.params.lam, pr.trials, pr.survivals, pr.p_hat, pr.ci_low, pr.ci_high, None, None, None)
+    header = ("record", "phase", "lambda", "trials", "survivals", "p_hat", "ci_low", "ci_high",
+              "lambda_hat", "scaled", "resolution")
+    records = [
+        {"record": "probe", "phase": pr.phase, "lambda": pr.params.lam, "trials": pr.trials,
+         "survivals": pr.survivals, "p_hat": pr.p_hat, "ci_low": pr.ci_low, "ci_high": pr.ci_high}
         for pr in est.probes
     ]
-    rows.append(
-        ("result", None, None, None, None, None, None, None, est.lambda_hat, est.scaled, est.resolution)
+    records.append(
+        {"record": "result", "lambda_hat": est.lambda_hat, "scaled": est.scaled,
+         "resolution": est.resolution}
     )
-    return Report(header, rows)
+    return Report(header, _rows(header, records))
 
 
 def cmd_trend(res: Resolver, seed: int) -> Report:
     kind = res.get("kind", "contact")
     d_list = res.required("d_list")
-    gamma = res.get("gamma", 1.0)
-    delta = res.get("delta", 1.0)
     proxies = {d: _proxy(res, d) for d in d_list}
     rows = critical.trend_study(
-        kind,
-        d_list,
-        gamma,
-        delta,
-        eps=res.get("eps", critical.DEFAULT_EPS),
-        probe_replicas=res.get("probe_replicas", critical.PROBE_REPLICAS),
-        bracket_replicas=res.get("bracket_replicas", critical.BRACKET_REPLICAS),
-        proxy=proxies,
-        seed=seed,
+        kind, d_list, *_rates(res), **_bisection(res), proxy=proxies, seed=seed
     )
     # proxy defaults depend on d: record each dimension's effective settings
     # in place of the horizon/cap/radius resolved for the last one
@@ -474,8 +462,7 @@ def cmd_ode(res: Resolver, seed: int) -> Report:
 
 def cmd_sawbound(res: Resolver, seed: int) -> Report:
     d = res.required("d")
-    gamma = res.get("gamma", 1.0)
-    delta = res.get("delta", 1.0)
+    gamma, delta = _rates(res)
     theta = res.get("theta")
     lam = res.get("lam")
     if lam is None and theta is None:
@@ -492,30 +479,14 @@ def cmd_sawbound(res: Resolver, seed: int) -> Report:
         replicas=res.get("replicas", 4000),
         seed=seed,
     )
-    header = (
-        "record",
-        "n",
-        "bound",
-        "ci_low",
-        "ci_high",
-        "mean_weight",
-        "se_weight",
-        "heavy_tail",
+    header = ("record", "n", "bound", "ci_low", "ci_high", "mean_weight", "se_weight", "heavy_tail")
+    records = [{"record": "convergence", "n": n, "bound": b} for n, b in est.convergence]
+    records.append(
+        {"record": "result", "n": est.n_max, "bound": est.bound, "ci_low": est.ci_low,
+         "ci_high": est.ci_high, "mean_weight": est.mean_weight, "se_weight": est.se_weight,
+         "heavy_tail": est.heavy_tail}
     )
-    rows = [("convergence", n, b, None, None, None, None, None) for n, b in est.convergence]
-    rows.append(
-        (
-            "result",
-            est.n_max,
-            est.bound,
-            est.ci_low,
-            est.ci_high,
-            est.mean_weight,
-            est.se_weight,
-            est.heavy_tail,
-        )
-    )
-    return Report(header, rows, {"resolved_lambda": lam})
+    return Report(header, _rows(header, records), {"resolved_lambda": lam})
 
 
 def cmd_oracle_check(res: Resolver, seed: int) -> Report:
@@ -525,10 +496,7 @@ def cmd_oracle_check(res: Resolver, seed: int) -> Report:
     replicas = res.get("replicas", 50000)
     if replicas < 1:
         raise ParameterError(f"--replicas must be >= 1, got {replicas}")
-    p = ProcessParams(
-        lam=res.get("lam", 0.8), gamma=res.get("gamma", 1.0), delta=res.get("delta", 1.0)
-    )
-    checks = oracle.check_suite(p, replicas, seed)
+    checks = oracle.check_suite(ProcessParams(res.get("lam", 0.8), *_rates(res)), replicas, seed)
     return Report(
         ("check", "status", "detail"),
         [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in checks],

@@ -66,7 +66,6 @@ from .errors import BracketError, ParameterError
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
-from .parallel import chunked_map  # bound here by name: perfbench/tracer.py wraps it
 from .rng import float_key, mix_seed, substream
 
 DEFAULT_EPS = 0.02
@@ -270,7 +269,7 @@ def run_replicas(
         (kind, d, p, domain, horizon, cap, seed, lo, min(lo + chunk, end))
         for lo in range(start, end, chunk)
     ]
-    return [row for part in chunked_map(_replica_chunk, chunks) for row in part]
+    return [row for part in parallel.chunked_map(_replica_chunk, chunks) for row in part]
 
 
 def estimate_survival(

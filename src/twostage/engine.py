@@ -497,18 +497,25 @@ def simulate_linear(
     of the current configuration, and a clock that points out of a box
     is a null event.
 
-    Returns one LinearConfig per entry of sample_times (ascending).
+    sample_times must be finite and ascend strictly from init.time on;
+    returns one LinearConfig per entry, in the same order.  As in
+    ``simulate``, lam * 2d must be finite.
     """
     if not sample_times:
         raise ParameterError("sample_times must be non-empty")
     if not math.isfinite(init.time):
         raise ParameterError(f"init.time must be finite, got {init.time}")
-    times = sorted(float(s) for s in sample_times)
+    times = [float(s) for s in sample_times]
     if not all(math.isfinite(s) for s in times):
         raise ParameterError(f"sample times must be finite, got {times}")
     if times[0] < init.time:
         raise ParameterError("sample times must not precede init.time")
-    bundle = 1.0 + p.delta + p.gamma + p.lam * (2 * g.d)  # total rate of one active site
+    if not all(a < b for a, b in zip(times, times[1:])):
+        raise ParameterError(f"sample_times must ascend strictly, got {times}")
+    twod = 2 * g.d
+    if not math.isfinite(p.lam * twod):
+        raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
+    bundle = 1.0 + p.delta + p.gamma + p.lam * twod  # total rate of one active site
     _check_attempts(bundle, times[-1] - init.time)
 
     vals: dict[int, tuple[int, int]] = {}
@@ -523,7 +530,6 @@ def simulate_linear(
     lam = p.lam
     gamma = p.gamma
     delta = p.delta
-    twod = 2 * g.d
     gd_edge = 1.0 + delta + gamma  # lower edge of the lam rows
 
     # direction tables: see LatticeGeometry

@@ -2,14 +2,16 @@
 
 Sites are plain tuples of d integers.  Two finite domains are supported:
 
-* ``Box(radius)`` -- the cube [-radius, radius]^d with absorbing exterior.
+* ``Box(radius)`` -- the cube [-radius, radius]^d, radius an integer >= 0,
+  with absorbing exterior.
   Exterior sites are permanently healthy: they are never returned as
   neighbors, so infection attempts across the boundary are lost.  This
   under-counts survival, which biases critical-rate estimates upward and
   keeps the proven lower bound testable as an inequality.
-* ``Torus(side)`` -- periodic wrapping with side >= 3, so the 2d neighbors
-  of a site stay pairwise distinct.  Used where spatial homogeneity is
-  needed (moment comparisons from all-occupied initial states).
+* ``Torus(side)`` -- periodic wrapping with integer side >= 3, so the 2d
+  neighbors of a site stay pairwise distinct.  Used where spatial
+  homogeneity is needed (moment comparisons from all-occupied initial
+  states).
 
 Besides the tuple-based API the geometry exposes an integer site encoding
 (``encode``/``decode``) used by the event loops.  The per-direction
@@ -24,6 +26,7 @@ coordinate-based, an independent reference for the rate table
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -51,8 +54,10 @@ def sub(x: Site, y: Site) -> Site:
 class Box:
     """Cube [-radius, radius]^d with absorbing exterior.
 
-    radius 0 is allowed as a degenerate single-site domain; it is used by
-    the exact-chain harness to isolate one site's transitions.
+    radius is an integer (numpy integers included); LatticeGeometry
+    refuses any other value.  radius 0 is allowed as a degenerate
+    single-site domain; it is used by the exact-chain harness to isolate
+    one site's transitions.
     """
 
     radius: int
@@ -60,12 +65,21 @@ class Box:
 
 @dataclass(frozen=True)
 class Torus:
-    """Periodic domain {0, ..., side-1}^d, side >= 3."""
+    """Periodic domain {0, ..., side-1}^d; side is an integer >= 3 (numpy integers included)."""
 
     side: int
 
 
 Domain = Union[Box, Torus]
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """value as a Python int; refuses a non-integer (numpy integers pass) or one below minimum."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class LatticeGeometry:
@@ -83,17 +97,12 @@ class LatticeGeometry:
     """
 
     def __init__(self, d: int, domain: Domain):
-        if d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {d}")
+        d = _integer("dimension", d, 1)
         if isinstance(domain, Box):
-            if domain.radius < 0:
-                raise ParameterError(f"box radius must be >= 0, got {domain.radius}")
-            self.side = 2 * domain.radius + 1
-            self._offset = domain.radius
+            self._offset = _integer("box radius", domain.radius, 0)
+            self.side = 2 * self._offset + 1
         elif isinstance(domain, Torus):
-            if domain.side < 3:
-                raise ParameterError(f"torus side must be >= 3, got {domain.side}")
-            self.side = domain.side
+            self.side = _integer("torus side", domain.side, 3)
             self._offset = 0
         else:
             raise ParameterError(f"unknown domain {domain!r}")

@@ -343,6 +343,18 @@ OUTPUT_GOLDENS = {
          "--seed", "25", "--format", "csv"],
         "565a813661564bd9cbd31c49a87801c779f73a53c26a784f9a8f6c5e8fc1e3e8",
     ),
+    # probe rows leave the result columns null and the result row the probe columns
+    "bisect-jsonl": (
+        ["bisect", "--d", "2", "--tol", "0.2", "--bracket-replicas", "60", "--probe-replicas", "40",
+         "--cap", "100", "--horizon", "15", "--radius", "8", "--seed", "26", "--format", "jsonl"],
+        "1fb1a0fbd5395ff47620d77687caf59f5c964603b62b4e03e30bc8a55e5ce7ff",
+    ),
+    "trend-jsonl": (
+        ["trend", "--d-list", "2,3", "--gamma", "2", "--delta", "0.5", "--probe-replicas", "40",
+         "--bracket-replicas", "80", "--cap", "120", "--horizon", "20", "--radius", "8",
+         "--seed", "27", "--format", "jsonl"],
+        "b75e815190461635d0e6ef5750e7497768407d7b9af68262b92a0f2b5a4e2e14",
+    ),
 }
 
 

@@ -342,6 +342,25 @@ def test_linear_rejects_non_finite_sample_times(times):
         simulate_linear(init, p, g, times, substream(0))
 
 
+@pytest.mark.parametrize("times", [[2.0, 1.0, 1.0], [1.0, 0.5], [0.5, 0.5]])
+def test_linear_refuses_sample_times_that_do_not_ascend_strictly(times):
+    # as simulate does; the snapshots were once stamped in sorted order
+    p = ProcessParams(lam=0.5, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Torus(3))
+    rng = substream(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="sample_times must ascend strictly"):
+        simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, times, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_linear_refuses_an_infinite_lam_2d_with_simulates_message():
+    p = ProcessParams(lam=1e308, gamma=1.0, delta=1.0)
+    g = LatticeGeometry(1, Torus(3))
+    with pytest.raises(ParameterError, match=r"lam \* 2d must be finite, got 1e\+308 \* 2"):
+        simulate_linear(LinearConfig.from_sites({(0,): (1, 0)}), p, g, [1.0], substream(0))
+
+
 def test_all_full_config_covers_domain():
     g = LatticeGeometry(2, Torus(3))
     cfg = all_full_config(g)

@@ -1,5 +1,9 @@
+import re
+
+import numpy as np
 import pytest
 
+from twostage.critical import ProxySettings, estimate_survival
 from twostage.errors import DomainError, ParameterError
 from twostage.lattice import (
     Box,
@@ -9,6 +13,7 @@ from twostage.lattice import (
     origin,
     sub,
 )
+from twostage.params import ProcessParams
 from twostage.rng import substream
 
 
@@ -87,6 +92,36 @@ def test_invalid_geometry_parameters():
         LatticeGeometry(2, Box(-1))
     with pytest.raises(ParameterError):
         LatticeGeometry(2, Torus(2))
+
+
+@pytest.mark.parametrize(
+    "d,domain,match",
+    [
+        (2, Box(1.5), "box radius must be an integer, got 1.5"),
+        (2, Torus(3.5), "torus side must be an integer, got 3.5"),
+        (2.0, Box(1), "dimension must be an integer, got 2.0"),
+        (1, Box("2"), "box radius must be an integer, got '2'"),
+    ],
+)
+def test_non_integer_geometry_parameters_are_refused(d, domain, match):
+    # a fractional radius gave a fractional side, and codes such as 7.5
+    with pytest.raises(ParameterError, match=re.escape(match)):
+        LatticeGeometry(d, domain)
+
+
+def test_numpy_integer_geometry_parameters_are_plain_ints():
+    g = LatticeGeometry(np.int64(2), Box(np.int32(3)))
+    assert (g.d, g.side, g.n_sites) == (2, 7, 49)
+    assert type(g.side) is int and type(g.n_sites) is int
+    assert g.encode((3, 3)) == 48
+    assert LatticeGeometry(1, Torus(np.int64(4))).neighbors((0,)) == [(3,), (1,)]
+
+
+def test_survival_estimate_refuses_a_fractional_box_radius():
+    p = ProcessParams(lam=0.9, gamma=1.0, delta=1.0)
+    proxy = ProxySettings(horizon=5.0, active_cap=50, box_radius=1.5)
+    with pytest.raises(ParameterError, match="box radius must be an integer"):
+        estimate_survival("contact", 2, p, proxy, 50, seed=0)
 
 
 def test_single_site_box_is_degenerate_domain():
