@@ -49,6 +49,7 @@ from .errors import (
     ParameterError,
     ResourceError,
     TwoStageError,
+    count,
 )
 from .lattice import Box, Torus
 from .meanfield import (
@@ -195,9 +196,7 @@ def _cast(name: str, text: str):
     return value
 
 
-def _get_or_env(
-    res: Resolver, name: str, env: str, default: int, minimum: Optional[int] = None
-) -> int:
+def _get_or_env(res: Resolver, name: str, env: str, default: int) -> int:
     """res.get(name), else the integer in environment variable env, else default.
 
     env is read only when neither a flag nor the config file gives the
@@ -213,8 +212,6 @@ def _get_or_env(
         value = int(raw)
     except ValueError:
         raise ParameterError(f"{env} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ParameterError(f"{env} must be >= {minimum}, got {value}")
     return res.get(name, value)
 
 
@@ -236,6 +233,8 @@ def _fmt(value) -> str:
 def _jsonable(value):
     if value is None or isinstance(value, (bool, str)):
         return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
@@ -493,10 +492,8 @@ def cmd_oracle_check(res: Resolver, seed: int) -> Report:
     suite = res.get("suite", "all")
     if suite != "all":
         raise ParameterError(f"unknown suite {suite!r} (only 'all' is defined)")
-    replicas = res.get("replicas", 50000)
-    if replicas < 1:
-        raise ParameterError(f"--replicas must be >= 1, got {replicas}")
-    checks = oracle.check_suite(ProcessParams(res.get("lam", 0.8), *_rates(res)), replicas, seed)
+    p = ProcessParams(res.get("lam", 0.8), *_rates(res))
+    checks = oracle.check_suite(p, res.get("replicas", 50000), seed)
     return Report(
         ("check", "status", "detail"),
         [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in checks],
@@ -575,9 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         res = Resolver(args, load_config(args.config, args.command))
         seed = _get_or_env(res, "seed", "TWOSTAGE_SEED", 0)
-        workers = _get_or_env(res, "threads", "TWOSTAGE_THREADS", os.cpu_count() or 1, minimum=1)
-        if workers < 1:
-            raise ParameterError(f"--threads must be >= 1, got {workers}")
+        workers = _get_or_env(res, "threads", "TWOSTAGE_THREADS", os.cpu_count() or 1)
+        # refused in the words of the source that gave it
+        workers = count("--threads" if res.given("threads") else "TWOSTAGE_THREADS", workers, 1)
         out_path = res.get("out", "-")
         # tables default to CSV; the mixed-record sawbound report to JSON lines
         fmt = res.get("fmt", "jsonl" if args.command == "sawbound" else "csv")

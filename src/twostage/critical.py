@@ -62,7 +62,7 @@ from typing import Iterable, Optional
 
 from . import parallel
 from .engine import FULL, SparseConfig, kind_states, simulate, simulate_many
-from .errors import BracketError, ParameterError
+from .errors import BracketError, ParameterError, count, positive
 from .lattice import Box, Domain, LatticeGeometry, origin
 from .meanfield import lower_bound_lambda, scaled_limit
 from .params import ProcessParams
@@ -85,12 +85,9 @@ class ProxySettings:
     box_radius: int = 50
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ParameterError(f"proxy horizon must be positive and finite, got {self.horizon}")
-        if self.active_cap < 1:
-            raise ParameterError(f"proxy cap must be >= 1, got {self.active_cap}")
-        if self.box_radius < 0:
-            raise ParameterError(f"proxy box radius must be >= 0, got {self.box_radius}")
+        positive("proxy horizon", self.horizon)
+        count("proxy cap", self.active_cap, 1)
+        count("proxy box radius", self.box_radius, 0)
 
     @classmethod
     def default_for(cls, d: int) -> "ProxySettings":
@@ -104,9 +101,8 @@ class ProxySettings:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    trials = count("trials", trials, 1)
+    if count("successes", successes, 0) > trials:
         raise ParameterError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
     z2 = WILSON_Z * WILSON_Z
@@ -254,11 +250,11 @@ def run_replicas(
     for any worker count and any split of the indices into calls.  The
     replicas run in chunks on the open ``parallel.pool_scope``'s pool, or
     serially outside one.  Raises ParameterError, before any chunk is
-    mapped, for fewer than one replica or for a run that ``simulate``
-    would refuse.
+    mapped, unless ``replicas`` is an integer >= 1 and ``start`` one
+    >= 0, or for a run that ``simulate`` would refuse.
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    replicas = count("replicas", replicas, 1)
+    start = count("start", start, 0)
     init = SparseConfig(states={origin(d): FULL})
     # checks the whole run on no stream, so a refused run maps nothing
     simulate_many(kind, init, p, LatticeGeometry(d, domain), horizon, (), cap)
@@ -294,10 +290,9 @@ def estimate_survival(
     replicas that could fix the decision: it runs until a yes is expected
     at the prefix's survival rate (k+1)/(m+2), but stops where a no could
     first be fixed, and holds at least one replica per worker, ``parallel.size()``.
-    Raises ParameterError unless ``replicas`` >= 1 and eps is in (0, 1).
+    Raises ParameterError unless ``replicas`` is an integer >= 1 and eps is in (0, 1).
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    replicas = count("replicas", replicas, 1)
     if eps is not None and not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     args = (kind, d, p, Box(proxy.box_radius), proxy.horizon, proxy.active_cap)
@@ -387,7 +382,7 @@ def bisect_critical(
     outside a scope; a probe whose rounds hold one replica each runs
     serially either way.  Raises ParameterError, before any replica runs,
     unless ``tol`` and ``lambda_max`` are positive and finite, both
-    replica counts are at least 1 and the kind is known, and BracketError
+    replica counts are integers >= 1 and the kind is known, and BracketError
     when no bracket exists below ``lambda_max`` (default 64x the lower
     bound).
 
@@ -476,18 +471,11 @@ def _bisection_inputs(
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    for name, n in (("probe_replicas", probe_replicas), ("bracket_replicas", bracket_replicas)):
-        if n < 1:
-            raise ParameterError(f"{name} must be >= 1, got {n}")
+    count("probe_replicas", probe_replicas, 1)
+    count("bracket_replicas", bracket_replicas, 1)
     lb = lower_bound_lambda(d, gamma, delta)
-    if tol is None:
-        tol = 0.05 * lb
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
-    if lambda_max is None:
-        lambda_max = 64.0 * lb
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ParameterError(f"lambda_max must be positive and finite, got {lambda_max}")
+    tol = positive("tol", 0.05 * lb if tol is None else tol)
+    lambda_max = positive("lambda_max", 64.0 * lb if lambda_max is None else lambda_max)
     if proxy is None:
         proxy = ProxySettings.default_for(d)
     kind_states(kind)

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, count
 from .lattice import LatticeGeometry, Site
 from .params import ProcessParams
 from .rng import event_draws
@@ -90,12 +90,17 @@ class LinearConfig:
     @classmethod
     def from_sites(cls, mapping: dict[Site, tuple[int, int]], time: float = 0.0) -> "LinearConfig":
         return cls(
-            values={x: (int(z), int(t)) for x, (z, t) in mapping.items() if (z, t) != _ZERO_PAIR},
+            values={x: _pair(x, z, t) for x, (z, t) in mapping.items() if (z, t) != _ZERO_PAIR},
             time=time,
         )
 
     def value(self, x: Site) -> tuple[int, int]:
         return self.values.get(x, _ZERO_PAIR)
+
+
+def _pair(x: Site, zeta, theta) -> tuple[int, int]:
+    """The pair at site x as two Python ints; each must be a count >= 0."""
+    return count(f"zeta at {x}", zeta, 0), count(f"theta at {x}", theta, 0)
 
 
 @dataclass
@@ -239,7 +244,7 @@ def simulate(
         init: initial configuration (finite support and time, usually 0).
         horizon: absolute stop time, > init.time.
         rng: replica-local generator.
-        active_cap: survival cap on |state 1| + |state 2|, or None.
+        active_cap: survival cap, an integer >= 1, on |state 1| + |state 2|, or None.
         track_ever_fully_infected: record every site that ever reaches
             state 2 (off by default; costs memory).
         sample_times: ascending times in (init.time, horizon) at which
@@ -280,12 +285,10 @@ def simulate_many(
     stream k.  For many short replicas this saves the per-call setup.
     """
     allowed = kind_states(kind)
-    if not math.isfinite(init.time):
-        raise ParameterError(f"init.time must be finite, got {init.time}")
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon <= init.time:
         raise ParameterError(f"horizon must be finite and exceed init.time, got {horizon}")
-    if active_cap is not None and active_cap < 1:
-        raise ParameterError(f"active_cap must be >= 1, got {active_cap}")
+    if active_cap is not None:
+        active_cap = count("active_cap", active_cap, 1)
     samples: list[float] = []
     if sample_times is not None:
         if active_cap is not None:
@@ -298,10 +301,7 @@ def simulate_many(
             raise ParameterError(
                 f"sample_times must ascend strictly within ({init.time}, {horizon}), got {samples}"
             )
-    twod = 2 * g.d
-    if not math.isfinite(p.lam * twod):
-        raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
-    _check_attempts(max(1.0 + p.lam * twod, p.gamma + 1.0 + p.delta), horizon - init.time)
+    _check_run(init.time, horizon, p, g, pair=False)
 
     states: dict[int, int] = {}
     for x, s in init.states.items():
@@ -316,20 +316,33 @@ def simulate_many(
     )
 
 
-def _check_attempts(site_rate: float, span: float) -> None:
-    """Refuse a run in which one active site alone makes 2**50 attempts.
+def _check_run(t0: float, end: float, p: ProcessParams, g: LatticeGeometry, pair: bool) -> float:
+    """The run checks of both event loops, made before any stream is read.
 
-    ``site_rate`` is the largest total rate of one active site and
-    ``span`` the time the run may last.  2**50 steps of the event loop
-    take years; further on ``t + e / rate`` stops moving t, or the total
-    rate overflows to inf.  Checked before any stream is read.
+    The start ``t0`` and lam * 2d must be finite.  A run to ``end`` in
+    which one active site alone makes 2**50 attempts is refused: those
+    steps take years; further on ``t + e / rate`` stops moving t, or the
+    total rate overflows to inf.  Returns that site's largest total rate:
+    the larger of a fully- and a semi-infected site's in the spread loop,
+    the sum of a site's five rows in the pair loop (``pair``).
     """
+    if not math.isfinite(t0):
+        raise ParameterError(f"init.time must be finite, got {t0}")
+    twod = 2 * g.d
+    if not math.isfinite(p.lam * twod):
+        raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
+    if pair:
+        site_rate = 1.0 + p.delta + p.gamma + p.lam * twod
+    else:
+        site_rate = max(1.0 + p.lam * twod, p.gamma + 1.0 + p.delta)
+    span = end - t0
     attempts = site_rate * span
     if attempts >= 2.0**50:
         raise ParameterError(
             f"one active site at total rate {site_rate:.6g} makes {attempts:.6g} attempts "
             f"in {span:.6g} time units; a run cannot finish past 2**50"
         )
+    return site_rate
 
 
 def _runs(
@@ -499,12 +512,11 @@ def simulate_linear(
 
     sample_times must be finite and ascend strictly from init.time on;
     returns one LinearConfig per entry, in the same order.  As in
-    ``simulate``, lam * 2d must be finite.
+    ``simulate``, lam * 2d must be finite.  Every pair value of ``init``
+    must be an integer >= 0; a fractional one is refused, not truncated.
     """
     if not sample_times:
         raise ParameterError("sample_times must be non-empty")
-    if not math.isfinite(init.time):
-        raise ParameterError(f"init.time must be finite, got {init.time}")
     times = [float(s) for s in sample_times]
     if not all(math.isfinite(s) for s in times):
         raise ParameterError(f"sample times must be finite, got {times}")
@@ -512,24 +524,18 @@ def simulate_linear(
         raise ParameterError("sample times must not precede init.time")
     if not all(a < b for a, b in zip(times, times[1:])):
         raise ParameterError(f"sample_times must ascend strictly, got {times}")
-    twod = 2 * g.d
-    if not math.isfinite(p.lam * twod):
-        raise ParameterError(f"lam * 2d must be finite, got {p.lam} * {twod}")
-    bundle = 1.0 + p.delta + p.gamma + p.lam * twod  # total rate of one active site
-    _check_attempts(bundle, times[-1] - init.time)
+    bundle = _check_run(init.time, times[-1], p, g, pair=True)  # total rate of one active site
 
     vals: dict[int, tuple[int, int]] = {}
     for x, (z, th) in init.values.items():
-        if z < 0 or th < 0:
-            raise ParameterError(f"pair values must be non-negative, got {(z, th)} at {x}")
-        if (z, th) == _ZERO_PAIR:
-            continue
-        vals[g.encode(x)] = (int(z), int(th))
+        if (z, th) != _ZERO_PAIR:
+            vals[g.encode(x)] = _pair(x, z, th)
     active = list(vals)  # the keys of vals: every site with live clocks
 
     lam = p.lam
     gamma = p.gamma
     delta = p.delta
+    twod = 2 * g.d
     gd_edge = 1.0 + delta + gamma  # lower edge of the lam rows
 
     # direction tables: see LatticeGeometry

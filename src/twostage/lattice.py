@@ -13,6 +13,10 @@ Sites are plain tuples of d integers.  Two finite domains are supported:
   homogeneity is needed (moment comparisons from all-occupied initial
   states).
 
+The dimension, the radius and the side pass ``errors.count``, the
+package's one rule for counts: numpy integers pass as Python ints, and a
+fractional value is refused rather than giving a fractional side.
+
 Besides the tuple-based API the geometry exposes an integer site encoding
 (``encode``/``decode``) used by the event loops.  The per-direction
 tables built with the geometry (``dir_stride``, ``dir_edge``,
@@ -26,12 +30,11 @@ coordinate-based, an independent reference for the rate table
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Union
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, count
 
 Site = tuple[int, ...]
 
@@ -73,15 +76,6 @@ class Torus:
 Domain = Union[Box, Torus]
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    """value as a Python int; refuses a non-integer (numpy integers pass) or one below minimum."""
-    if not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 class LatticeGeometry:
     """A finite truncation of Z^d with neighbor enumeration.
 
@@ -97,12 +91,12 @@ class LatticeGeometry:
     """
 
     def __init__(self, d: int, domain: Domain):
-        d = _integer("dimension", d, 1)
+        d = count("dimension", d, 1)
         if isinstance(domain, Box):
-            self._offset = _integer("box radius", domain.radius, 0)
+            self._offset = count("box radius", domain.radius, 0)
             self.side = 2 * self._offset + 1
         elif isinstance(domain, Torus):
-            self.side = _integer("torus side", domain.side, 3)
+            self.side = count("torus side", domain.side, 3)
             self._offset = 0
         else:
             raise ParameterError(f"unknown domain {domain!r}")

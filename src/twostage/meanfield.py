@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
-from .params import ProcessParams
+from .errors import ParameterError, count, positive
+from .params import ProcessParams, require_rates
 
 # eigenvalue gap below which the confluent (repeated-root) solution is used
 _CONFLUENT_EPS = 1e-12
@@ -48,8 +48,7 @@ class MomentMatrix:
 
 def moment_matrix(d: int, p: ProcessParams) -> MomentMatrix:
     """Coefficient matrix of the moment ODE for dimension d."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    d = count("dimension", d, 1)
     return MomentMatrix(
         entries=(
             (-1.0, p.gamma),
@@ -104,30 +103,16 @@ def solve_moments(d: int, p: ProcessParams, t: float) -> tuple[float, float]:
     return _moment_solution(c1, c2, 2.0 * d * p.lam, float(t))
 
 
-def _require_rates(gamma: float, delta: float) -> None:
-    """Raise ParameterError naming gamma or delta unless both are finite and positive.
-
-    A NaN passes a plain ``<= 0`` test and would surface later as a bad
-    rate or resolution derived from it.
-    """
-    for name, value in (("gamma", gamma), ("delta", delta)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
-        if value <= 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
-
-
 def lower_bound_lambda(d: int, gamma: float, delta: float) -> float:
     """Proven lower bound (1/2d) * (1 + (1+delta)/gamma) on the critical rate."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    _require_rates(gamma, delta)
+    d = count("dimension", d, 1)
+    require_rates(gamma=gamma, delta=delta)
     return (1.0 + (1.0 + delta) / gamma) / (2.0 * d)
 
 
 def scaled_limit(gamma: float, delta: float) -> float:
     """The dimension-free constant 1 + (1+delta)/gamma targeted by 2d*lambda_c."""
-    _require_rates(gamma, delta)
+    require_rates(gamma=gamma, delta=delta)
     return 1.0 + (1.0 + delta) / gamma
 
 
@@ -136,9 +121,7 @@ def lambda_from_theta(d: int, gamma: float, delta: float, theta: float) -> float
 
     theta > 1 places the rate a fixed factor above the threshold scale.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ParameterError(f"theta must be positive and finite, got {theta}")
-    _require_rates(gamma, delta)
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    positive("theta", theta)
+    require_rates(gamma=gamma, delta=delta)
+    d = count("dimension", d, 1)
     return theta * (1.0 + gamma + delta) / (2.0 * d * gamma)

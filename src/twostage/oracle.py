@@ -27,7 +27,7 @@ from .engine import FULL, STATES, SparseConfig, kind_states, simulate_many, site
 from .errors import ParameterError, ResourceError
 from .lattice import Box, LatticeGeometry, Site, Torus, origin
 from .params import ProcessParams
-from . import rng, saw
+from . import errors, rng, saw
 
 _MAX_DENSE = 12_000  # configurations; the dense generator is ~1 GB of float64
 _POISSON_TAIL = 1e-10
@@ -177,8 +177,7 @@ def brute_union_spaces(count: int, rng: np.random.Generator) -> UnionValidationR
     non-empty events, computes the exact union probability by
     enumeration and compares it with the weighted second-moment bound.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    count = errors.count("count", count, 1)
     cases: list[UnionSpaceTrial] = []
     violations = 0
     worst = -np.inf
@@ -222,8 +221,7 @@ def check_suite(p: ProcessParams, replicas: int, seed: int) -> list[tuple[str, b
     ``replicas`` runs on streams (seed, i) for contact and (seed +
     replicas, i) for SIR; the union bound reads stream (seed, 97).
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    replicas = errors.count("replicas", replicas, 1)
     site, ring = LatticeGeometry(1, Box(0)), LatticeGeometry(1, Torus(3))
     times = [0.5, 1.0, 2.0]
     o = origin(1)

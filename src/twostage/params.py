@@ -1,10 +1,25 @@
-"""Shared process parameters."""
+"""Shared process parameters and the one check of a rate."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+
+def require_rates(**rates) -> dict[str, float]:
+    """The rates as floats; ParameterError names the first one not finite and positive.
+
+    A NaN passes a plain ``<= 0`` test and would surface later as a bad
+    rate or resolution derived from it.
+    """
+    for name, value in rates.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+        if value <= 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+    return {name: float(value) for name, value in rates.items()}
 
 
 @dataclass(frozen=True)
@@ -23,8 +38,6 @@ class ProcessParams:
     delta: float
 
     def __post_init__(self):
-        for name, value in (("lam", self.lam), ("gamma", self.gamma), ("delta", self.delta)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
-            if value <= 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
+        # stored as floats, so that no event loop computes in float32
+        for name, value in require_rates(lam=self.lam, gamma=self.gamma, delta=self.delta).items():
+            object.__setattr__(self, name, value)

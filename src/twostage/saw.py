@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, count
 from .graphical import LazyClocks
 from .lattice import Site, origin
 from .params import ProcessParams
@@ -63,15 +63,12 @@ from .rng import substream
 
 def drift_period(d: int) -> int:
     """floor(log d); must be >= 1, so d >= 3."""
-    if d < 3:
-        raise ParameterError(f"structured walks need d >= 3 (floor(log d) >= 1), got d={d}")
-    return int(math.floor(math.log(d)))
+    return int(math.floor(math.log(count("walk dimension", d, 3))))
 
 
 def drift_band(d: int) -> int:
-    """floor(d / log d): number of reserved drift coordinates."""
-    if d < 3:
-        raise ParameterError(f"structured walks need d >= 3, got d={d}")
+    """floor(d / log d): number of reserved drift coordinates; d >= 3."""
+    d = count("walk dimension", d, 3)
     return int(math.floor(d / math.log(d)))
 
 
@@ -226,10 +223,10 @@ def _draw_walks(d: int, n: int, rngs: Sequence[np.random.Generator], per_rng: in
     table and one cumulative sum then give every walk's sites.  Longer
     periods step each walk with ``step_walk`` and convert its sites once.
     """
-    if n < 1:
-        raise ParameterError(f"walk length must be >= 1, got {n}")
+    n = count("walk length", n, 1)
+    period = drift_period(d)
     sites = np.zeros((per_rng, len(rngs), n + 1, d), dtype=np.int64)
-    if drift_period(d) > 2:
+    if period > 2:
         for r, rng in enumerate(rngs):
             for k in range(per_rng):
                 path = WalkPath.start(d)
@@ -405,10 +402,9 @@ def estimate_survival_lower_bound(
 
     Returns a SawBoundEstimate with a 95% delta-method interval.
     """
-    if n_max < 4:
-        raise ParameterError(f"n_max must be >= 4, got {n_max}")
-    if replicas < 2:
-        raise ParameterError(f"replicas must be >= 2, got {replicas}")
+    n_max = count("n_max", n_max, 4)
+    replicas = count("replicas", replicas, 2)
+    drift_period(d)  # refuses a d outside the walk class before a block is sized
     checkpoints = sorted({max(1, n_max // 4), max(1, n_max // 2), n_max})
     block = max(1, _BLOCK_ELEMENTS // (2 * (n_max + 1) * d))
     sums = {n: 0.0 for n in checkpoints}
@@ -510,10 +506,8 @@ def estimate_union_direct(
         raise ParameterError(
             f"direct union estimation needs drift period 1 (3 <= d <= 7), got d={d}"
         )
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    n = count("path length", n, 1)
+    replicas = count("replicas", replicas, 1)
     band = drift_band(d)
     axes = range(d - band, d)
     o = origin(d)

@@ -309,7 +309,8 @@ def test_bisect_output_golden(tmp_path, threads):
 
 # id -> (arguments, sha256 of the output): small runs of the commands and
 # formats the goldens above leave out; recorded when each draw window held
-# its uniforms, then its exponentials
+# its uniforms, then its exponentials, and ode-jsonl and trend-jsonl again
+# when their metadata began to write list options as JSON arrays
 OUTPUT_GOLDENS = {
     "simulate-csv": (
         ["simulate", "--d", "3", "--lambda", "0.4", "--replicas", "30", "--horizon", "10",
@@ -332,7 +333,7 @@ OUTPUT_GOLDENS = {
     ),
     "ode-jsonl": (
         ["ode", "--d", "6", "--lambda", "0.15", "--gamma", "2", "--delta", "0.5", "--format", "jsonl"],
-        "659e2c39dca9fe5679a10ac61e7e6e1e5728ca2a08e47e0ab0da45b4c1a6f3d8",
+        "d96bb2f8ef8ecf7c1c5251780753a81f48d9aa8e5fc5266ec4ead16ca06c7339",
     ),
     "sawbound-jsonl": (
         ["sawbound", "--d", "8", "--theta", "1.5", "--n-max", "60", "--replicas", "40", "--seed", "24"],
@@ -353,7 +354,7 @@ OUTPUT_GOLDENS = {
         ["trend", "--d-list", "2,3", "--gamma", "2", "--delta", "0.5", "--probe-replicas", "40",
          "--bracket-replicas", "80", "--cap", "120", "--horizon", "20", "--radius", "8",
          "--seed", "27", "--format", "jsonl"],
-        "b75e815190461635d0e6ef5750e7497768407d7b9af68262b92a0f2b5a4e2e14",
+        "4dc4acd0c9dbd04da5eee06fcb077f745a70c28d03fdab9f5bcbc657f45d56e1",
     ),
 }
 
@@ -363,6 +364,28 @@ def test_command_output_golden(tmp_path, case):
     args, digest = OUTPUT_GOLDENS[case]
     out = run_cli(args, tmp_path, "golden.out")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# id -> (arguments, the list option's key and its values as given)
+LIST_OPTIONS = {
+    "trend": (OUTPUT_GOLDENS["trend-jsonl"][0], "d_list", [2, 3]),
+    "sweep": (
+        ["sweep", "--d", "2", "--lambdas", "0.5,1", "--replicas", "20", "--horizon", "5",
+         "--cap", "100", "--radius", "5", "--format", "jsonl"],
+        "lambdas", [0.5, 1.0],
+    ),
+    "ode": (["ode", "--d", "3", "--lambda", "0.1", "--times", "0,1.5", "--format", "jsonl"],
+            "times", [0.0, 1.5]),
+}
+
+
+@pytest.mark.parametrize("command", list(LIST_OPTIONS))
+def test_jsonl_metadata_parses_back_to_the_given_lists(tmp_path, command):
+    # a list option was once written as the string of its Python repr
+    args, key, values = LIST_OPTIONS[command]
+    meta = json.loads(run_cli(args, tmp_path, "meta.jsonl").decode().splitlines()[0])
+    assert meta["record"] == "meta"
+    assert meta[key] == values
 
 
 def test_trend_records_effective_proxy_per_dimension(tmp_path):
@@ -674,7 +697,8 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
 def test_oracle_check_needs_a_replica(tmp_path, replicas):
     proc = cli_process(["oracle-check", "--replicas", replicas], tmp_path / "oracle.csv")
     assert proc.returncode == 2, proc.stderr
-    assert f"--replicas must be >= 1, got {replicas}" in proc.stderr
+    # check_suite's own refusal
+    assert f"replicas must be >= 1, got {replicas}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

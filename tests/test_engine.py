@@ -186,6 +186,14 @@ def test_every_stop_path_derives_survived_from_extinction_time():
     assert 0.0 < extinct.extinction_time == extinct.final.time < 1000.0
 
 
+def test_numpy_rates_are_stored_as_floats():
+    # a float32 rate would make the event loop compute times in float32
+    p = ProcessParams(lam=np.float32(0.5), gamma=np.int64(1), delta=1)
+    assert [type(v) for v in (p.lam, p.gamma, p.delta)] == [float, float, float]
+    out = simulate("contact", SparseConfig({(0,): FULL}), p, LatticeGeometry(1, Box(9)), 50.0, substream(0))
+    assert type(out.extinction_time) is float
+
+
 @pytest.mark.parametrize("time", [math.nan, -math.inf])
 def test_non_finite_init_time_is_rejected(time):
     # a nan start would ignore the horizon, and a linear run would

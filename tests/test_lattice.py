@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from twostage.critical import ProxySettings, estimate_survival
+from twostage.critical import (
+    ProxySettings,
+    bisect_critical,
+    estimate_survival,
+    run_replicas,
+    wilson_interval,
+)
+from twostage.engine import FULL, LinearConfig, SparseConfig, simulate, simulate_linear
 from twostage.errors import DomainError, ParameterError
 from twostage.lattice import (
     Box,
@@ -13,8 +20,11 @@ from twostage.lattice import (
     origin,
     sub,
 )
+from twostage.meanfield import lambda_from_theta, lower_bound_lambda, moment_matrix
+from twostage.oracle import brute_union_spaces, check_suite
 from twostage.params import ProcessParams
 from twostage.rng import substream
+from twostage.saw import estimate_survival_lower_bound, estimate_union_direct, sample_walk
 
 
 def test_l1_norm_examples():
@@ -119,9 +129,103 @@ def test_numpy_integer_geometry_parameters_are_plain_ints():
 
 def test_survival_estimate_refuses_a_fractional_box_radius():
     p = ProcessParams(lam=0.9, gamma=1.0, delta=1.0)
-    proxy = ProxySettings(horizon=5.0, active_cap=50, box_radius=1.5)
+    # the proxy refuses the radius itself, before any estimate is asked for
     with pytest.raises(ParameterError, match="box radius must be an integer"):
-        estimate_survival("contact", 2, p, proxy, 50, seed=0)
+        estimate_survival("contact", 2, p, ProxySettings(5.0, 50, box_radius=1.5), 50, seed=0)
+
+
+P = ProcessParams(lam=0.9, gamma=1.0, delta=1.0)
+SMALL_PROXY = ProxySettings(horizon=5.0, active_cap=50, box_radius=3)
+
+# id -> (a call that passes one fractional count, the refusal naming it)
+FRACTIONAL_COUNTS = {
+    "proxy-cap": (lambda: ProxySettings(active_cap=2.5), "proxy cap must be an integer, got 2.5"),
+    "proxy-radius": (
+        lambda: ProxySettings(box_radius=1.5), "proxy box radius must be an integer, got 1.5"
+    ),
+    "simulate-active-cap": (
+        lambda: simulate(
+            "contact", SparseConfig({(0,): FULL}), P, LatticeGeometry(1, Box(3)), 1.0,
+            substream(0), active_cap=1.5,
+        ),
+        "active_cap must be an integer, got 1.5",
+    ),
+    "linear-config-zeta": (
+        lambda: LinearConfig.from_sites({(0,): (1.5, 0)}), "zeta at (0,) must be an integer, got 1.5"
+    ),
+    "simulate-linear-zeta": (
+        lambda: simulate_linear(
+            LinearConfig({(0,): (1.5, 0)}), P, LatticeGeometry(1, Torus(3)), [1.0], substream(0)
+        ),
+        "zeta at (0,) must be an integer, got 1.5",
+    ),
+    "simulate-linear-theta": (
+        lambda: simulate_linear(
+            LinearConfig({(0,): (1, 0.5)}), P, LatticeGeometry(1, Torus(3)), [1.0], substream(0)
+        ),
+        "theta at (0,) must be an integer, got 0.5",
+    ),
+    "moment-matrix-d": (lambda: moment_matrix(2.5, P), "dimension must be an integer, got 2.5"),
+    "lower-bound-d": (
+        lambda: lower_bound_lambda(2.5, 1.0, 1.0), "dimension must be an integer, got 2.5"
+    ),
+    "lambda-from-theta-d": (
+        lambda: lambda_from_theta(2.5, 1.0, 1.0, 1.5), "dimension must be an integer, got 2.5"
+    ),
+    "wilson-trials": (lambda: wilson_interval(1, 2.5), "trials must be an integer, got 2.5"),
+    "wilson-successes": (lambda: wilson_interval(0.5, 2), "successes must be an integer, got 0.5"),
+    "run-replicas": (
+        lambda: run_replicas("contact", 2, P, Box(3), 2.0, 10, 2.5, 0),
+        "replicas must be an integer, got 2.5",
+    ),
+    "estimate-survival": (
+        lambda: estimate_survival("contact", 2, P, SMALL_PROXY, 2.5, 0),
+        "replicas must be an integer, got 2.5",
+    ),
+    "estimate-survival-probe": (
+        lambda: estimate_survival("contact", 2, P, SMALL_PROXY, 2.5, 0, eps=0.02),
+        "replicas must be an integer, got 2.5",
+    ),
+    "bisect-probe-replicas": (
+        lambda: bisect_critical(
+            "contact", 2, 1.0, 1.0, probe_replicas=2.5, bracket_replicas=20, proxy=SMALL_PROXY
+        ),
+        "probe_replicas must be an integer, got 2.5",
+    ),
+    "bisect-bracket-replicas": (
+        lambda: bisect_critical(
+            "contact", 2, 1.0, 1.0, probe_replicas=20, bracket_replicas=2.5, proxy=SMALL_PROXY
+        ),
+        "bracket_replicas must be an integer, got 2.5",
+    ),
+    "check-suite": (lambda: check_suite(P, 2.5, 0), "replicas must be an integer, got 2.5"),
+    "brute-union-spaces": (
+        lambda: brute_union_spaces(2.5, substream(0)), "count must be an integer, got 2.5"
+    ),
+    "sawbound-n-max": (
+        lambda: estimate_survival_lower_bound(6, P, 40.5, 10, 0), "n_max must be an integer, got 40.5"
+    ),
+    "sawbound-replicas": (
+        lambda: estimate_survival_lower_bound(6, P, 40, 2.5, 0), "replicas must be an integer, got 2.5"
+    ),
+    "sample-walk-d": (
+        lambda: sample_walk(6.5, 10, substream(0)), "walk dimension must be an integer, got 6.5"
+    ),
+    "union-direct-n": (
+        lambda: estimate_union_direct(6, 4.5, P, 10, 0), "path length must be an integer, got 4.5"
+    ),
+    "union-direct-replicas": (
+        lambda: estimate_union_direct(6, 4, P, 2.5, 0), "replicas must be an integer, got 2.5"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FRACTIONAL_COUNTS))
+def test_every_fractional_count_is_refused_naming_it(case):
+    # each of these once ran, truncated the count or raised a bare TypeError
+    call, match = FRACTIONAL_COUNTS[case]
+    with pytest.raises(ParameterError, match=re.escape(match)):
+        call()
 
 
 def test_single_site_box_is_degenerate_domain():
